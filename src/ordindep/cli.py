@@ -23,8 +23,7 @@ from .lawlab import (
     CRITERIA,
     RELATIONS,
 )
-from .logic import Vocabulary, format_formula
-from .measures import Dist
+from .logic import format_formula
 from .parsing import (
     ParseError,
     ParsedDocument,

@@ -12,6 +12,13 @@ Three relations over one distribution, from weakest to strongest test:
 Each of the latter two also has a "direct" formulation written purely in
 terms of the four cell possibilities; the pairs must agree everywhere,
 which the law catalog checks exhaustively.
+
+The cell forms live once, in the ``*_masks`` functions over world-set
+bitmasks; ``classify``, the formula-level functions and the relation probe
+in ``lawlab`` all call them.  Like ``measures``, everything here except
+``cond_weak_indep`` (which stops at the first failed test) reads a
+distribution only through ``vocab``, ``top`` and ``poss_mask`` and combines
+verdicts with ``&``, so it runs unchanged on a ``lawlab.DistEnsemble``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .logic import Formula, Not, Or, model_mask
-from .measures import Dist, cond_nec, nec, poss
+from .measures import Dist, _full_mask, cond_nec, nec
 
 
 @dataclass(frozen=True)
@@ -35,55 +42,65 @@ class IndepReport:
     poss_na_nc: int
 
 
-def _cells(d: Dist, a: Formula, c: Formula) -> tuple[int, int, int, int]:
-    n = d.vocab.n
-    full = (1 << d.vocab.world_count) - 1
-    a_mask = model_mask(a, n)
-    c_mask = model_mask(c, n)
-    return (
-        d.poss_mask(a_mask & c_mask),
-        d.poss_mask(a_mask & (full ^ c_mask)),
-        d.poss_mask((full ^ a_mask) & c_mask),
-        d.poss_mask((full ^ a_mask) & (full ^ c_mask)),
+def _masks(d: Dist, a: Formula, c: Formula) -> tuple[int, int]:
+    return model_mask(a, d.vocab.n), model_mask(c, d.vocab.n)
+
+
+def related_z_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
+    """Zadeh relatedness of two world sets.
+
+    poss(a & c) is at most both poss(a) and poss(c), so it differs from
+    their min exactly when it differs from each of them.
+    """
+    pac = d.poss_mask(a_mask & c_mask)
+    return (pac != d.poss_mask(a_mask)) & (pac != d.poss_mask(c_mask))
+
+
+def strong_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
+    """Cell form of strong independence of two world sets."""
+    nc_mask = _full_mask(d) ^ c_mask
+    pnc = d.poss_mask(nc_mask)
+    return (d.poss_mask(a_mask) > pnc) & (pnc == d.poss_mask(a_mask & nc_mask))
+
+
+def weak_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
+    """Cell form of weak independence of two world sets."""
+    full = _full_mask(d)
+    return (d.poss_mask(a_mask & c_mask) > d.poss_mask(a_mask & (full ^ c_mask))) & (
+        d.poss_mask(c_mask) > d.poss_mask((full ^ a_mask) & (full ^ c_mask))
     )
 
 
 def related_z(d: Dist, a: Formula, c: Formula) -> bool:
     """Zadeh relatedness: poss(a & c) differs from min(poss(a), poss(c))."""
-    pac, panc, pnac, _ = _cells(d, a, c)
-    pa = max(pac, panc)
-    pc = max(pac, pnac)
-    return pac != min(pa, pc)
+    return related_z_masks(d, *_masks(d, a, c))
 
 
 def strong_indep(d: Dist, a: Formula, c: Formula) -> bool:
     """Conditioning on a leaves the conclusion's necessity positive and unchanged."""
     n_c = nec(d, c)
-    return n_c > 0 and cond_nec(d, c, a) == n_c
+    return (n_c > 0) & (cond_nec(d, c, a) == n_c)
 
 
 def strong_indep_direct(d: Dist, a: Formula, c: Formula) -> bool:
     """Cell form of strong independence: poss(a) > poss(!c) = poss(a & !c)."""
-    pac, panc, pnac, pnanc = _cells(d, a, c)
-    pa = max(pac, panc)
-    pnc = max(panc, pnanc)
-    return pa > pnc and pnc == panc
+    return strong_indep_masks(d, *_masks(d, a, c))
 
 
 def weak_indep(d: Dist, a: Formula, c: Formula) -> bool:
     """Conclusion accepted outright and still accepted given a."""
-    return nec(d, c) > 0 and cond_nec(d, c, a) > 0
+    return (nec(d, c) > 0) & (cond_nec(d, c, a) > 0)
 
 
 def weak_indep_direct(d: Dist, a: Formula, c: Formula) -> bool:
-    """Cell form of weak independence."""
-    pac, panc, pnac, pnanc = _cells(d, a, c)
-    return pac > panc and max(pac, pnac) > pnanc
+    """Cell form of weak independence: poss(a & c) > poss(a & !c) and
+    poss(c) > poss(!a & !c)."""
+    return weak_indep_masks(d, *_masks(d, a, c))
 
 
 def contraction_dep(d: Dist, a: Formula, c: Formula) -> bool:
     """Accepted conclusion whose disjunction with a adds nothing to a's necessity."""
-    return nec(d, c) > 0 and nec(d, a) >= nec(d, Or(a, c))
+    return (nec(d, c) > 0) & (nec(d, a) >= nec(d, Or(a, c)))
 
 
 def cond_weak_indep(d: Dist, conclusion: Formula, context: Formula, extra: Formula) -> bool:
@@ -95,18 +112,17 @@ def cond_weak_indep(d: Dist, conclusion: Formula, context: Formula, extra: Formu
 
 def classify(d: Dist, a: Formula, c: Formula) -> IndepReport:
     """All three relation verdicts for the pair, with witness cells."""
-    pac, panc, pnac, pnanc = _cells(d, a, c)
-    pa = max(pac, panc)
-    pc = max(pac, pnac)
-    pnc = max(panc, pnanc)
+    a_mask, c_mask = _masks(d, a, c)
+    full = _full_mask(d)
+    na_mask, nc_mask = full ^ a_mask, full ^ c_mask
     return IndepReport(
-        unrelated_z=pac == min(pa, pc),
-        weak=pac > panc and pc > pnanc,
-        strong=pa > pnc and pnc == panc,
-        poss_ac=pac,
-        poss_a_nc=panc,
-        poss_na_c=pnac,
-        poss_na_nc=pnanc,
+        unrelated_z=not related_z_masks(d, a_mask, c_mask),
+        weak=weak_indep_masks(d, a_mask, c_mask),
+        strong=strong_indep_masks(d, a_mask, c_mask),
+        poss_ac=d.poss_mask(a_mask & c_mask),
+        poss_a_nc=d.poss_mask(a_mask & nc_mask),
+        poss_na_c=d.poss_mask(na_mask & c_mask),
+        poss_na_nc=d.poss_mask(na_mask & nc_mask),
     )
 
 

@@ -7,10 +7,13 @@ proved, but a law that fails is definitively refuted, and every reported
 counterexample is re-verified through the plain scalar implementations
 before it is returned.
 
-Two evaluation backends share one predicate catalog: EnsembleOps runs a
-predicate over every distribution at once on a numpy level matrix, and
-ScalarOps runs it on a single Dist through the ordinary library calls.
-The checker uses the fast backend to search and the slow one to confirm.
+Every predicate runs through ScalarOps, a thin adapter over the ordinary
+library calls in ``measures`` and ``independence``.  Those calls read a
+distribution only through ``vocab``, ``top`` and ``poss_mask``, so the
+checker hands ScalarOps a DistEnsemble, whose ``poss_mask`` returns one
+level per enumerated distribution as a numpy row, to sweep them all at
+once, and then a concrete Dist to confirm the first failure.  No measure
+or relation formula is written out a second time here.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -119,7 +122,7 @@ class DistEnsemble:
     def dist_at(self, i: int) -> Dist:
         return self._dists[i]
 
-    def poss_rows(self, mask: int) -> np.ndarray:
+    def poss_mask(self, mask: int) -> np.ndarray:
         """Column-wise max over the worlds in the mask, one entry per dist."""
         vec = self._poss_cache.get(mask)
         if vec is None:
@@ -132,78 +135,12 @@ class DistEnsemble:
         return vec
 
 
-class EnsembleOps:
-    """Vectorized measure and relation evaluations across an ensemble.
-
-    Only poss_rows results are cached (few distinct masks exist at desk
-    scale); everything else is a couple of elementwise operations.
-    """
-
-    def __init__(self, ensemble: DistEnsemble):
-        self.ensemble = ensemble
-        self.top = ensemble.top
-        self._n = ensemble.vocab.n
-        self._full = (1 << ensemble.vocab.world_count) - 1
-
-    def _mask(self, f: Formula) -> int:
-        return model_mask(f, self._n)
-
-    def poss(self, f: Formula) -> np.ndarray:
-        return self.ensemble.poss_rows(self._mask(f))
-
-    def nec(self, f: Formula) -> np.ndarray:
-        return self.top - self.ensemble.poss_rows(self._full ^ self._mask(f))
-
-    def _cond_poss_masks(self, c_mask: int, a_mask: int) -> np.ndarray:
-        pa = self.ensemble.poss_rows(a_mask)
-        pac = self.ensemble.poss_rows(a_mask & c_mask)
-        return np.where(pac == pa, np.int16(self.top), pac)
-
-    def cond_poss(self, c: Formula, a: Formula) -> np.ndarray:
-        return self._cond_poss_masks(self._mask(c), self._mask(a))
-
-    def cond_nec(self, c: Formula, a: Formula) -> np.ndarray:
-        return self.top - self._cond_poss_masks(self._full ^ self._mask(c), self._mask(a))
-
-    def _cells(self, a: Formula, c: Formula):
-        am, cm = self._mask(a), self._mask(c)
-        rows = self.ensemble.poss_rows
-        return (
-            rows(am & cm),
-            rows(am & (self._full ^ cm)),
-            rows((self._full ^ am) & cm),
-            rows((self._full ^ am) & (self._full ^ cm)),
-        )
-
-    def related_z(self, a: Formula, c: Formula) -> np.ndarray:
-        pac, panc, pnac, _ = self._cells(a, c)
-        return pac != np.minimum(np.maximum(pac, panc), np.maximum(pac, pnac))
-
-    def strong_indep(self, a: Formula, c: Formula) -> np.ndarray:
-        n_c = self.nec(c)
-        return (n_c > 0) & (self.cond_nec(c, a) == n_c)
-
-    def strong_indep_direct(self, a: Formula, c: Formula) -> np.ndarray:
-        pac, panc, pnac, pnanc = self._cells(a, c)
-        pa = np.maximum(pac, panc)
-        pnc = np.maximum(panc, pnanc)
-        return (pa > pnc) & (pnc == panc)
-
-    def weak_indep(self, a: Formula, c: Formula) -> np.ndarray:
-        return (self.nec(c) > 0) & (self.cond_nec(c, a) > 0)
-
-    def weak_indep_direct(self, a: Formula, c: Formula) -> np.ndarray:
-        pac, panc, pnac, pnanc = self._cells(a, c)
-        return (pac > panc) & (np.maximum(pac, pnac) > pnanc)
-
-    def entails_classically(self, a: Formula, b: Formula) -> bool:
-        return (self._mask(a) & (self._full ^ self._mask(b))) == 0
-
-
 class ScalarOps:
-    """The same interface evaluated on one Dist via the plain library calls."""
+    """The measures and relations a law predicate may use, bound to one
+    distribution source: a Dist gives plain ints and bools, a DistEnsemble
+    gives one numpy row per call, via the same library calls."""
 
-    def __init__(self, dist: Dist):
+    def __init__(self, dist: Dist | DistEnsemble):
         self.dist = dist
         self.top = dist.top
 
@@ -810,8 +747,8 @@ def check_law(
     """Quantify one law over the full enumeration and the generator set.
 
     The first failing (formula tuple, distribution) pair in deterministic
-    order becomes the counterexample, after the scalar backend confirms
-    that it really falsifies the law.
+    order becomes the counterexample, after a run on that distribution
+    alone confirms that it really falsifies the law.
     """
     if ensemble is None:
         ensemble = DistEnsemble(n, top, budget)
@@ -819,7 +756,7 @@ def check_law(
     cost = law_cost(law, ensemble.count, len(gens))
     if cost > budget:
         raise BudgetError(f"law {law.law_id} needs {cost} evaluations, budget is {budget}")
-    ops = EnsembleOps(ensemble)
+    ops = ScalarOps(ensemble)
     done = 0
     for combo in itertools.product(gens, repeat=law.arity):
         vec = np.broadcast_to(np.asarray(law.predicate(ops, *combo), dtype=bool), (ensemble.count,))
@@ -922,34 +859,14 @@ def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[Crite
 # distribution whose strong-dependence relation matches exactly.
 
 
-def _dep_pair(levels: tuple[int, ...], full: int, x: int, y: int) -> bool:
-    # dependence = not strong independence, straight off the cell levels
-    def pm(mask: int) -> int:
-        best = 0
-        m = mask
-        while m:
-            low = m & -m
-            lv = levels[low.bit_length() - 1]
-            if lv > best:
-                best = lv
-            m ^= low
-        return best
-
-    pa = pm(x)
-    pny = pm(full ^ y)
-    pany = pm(x & (full ^ y))
-    return not (pa > pny and pny == pany)
-
-
 def realized_relation(d: Dist) -> int:
     """Strong-dependence relation of a distribution, packed as a bitset."""
     events = 1 << d.vocab.world_count
-    full = events - 1
     bits = 0
     idx = 0
     for x in range(events):
         for y in range(events):
-            if _dep_pair(d.levels, full, x, y):
+            if not indep.strong_indep_masks(d, x, y):
                 bits |= 1 << idx
             idx += 1
     return bits

@@ -8,6 +8,11 @@ necessity of a formula is top minus the possibility of its complement.
 Conditioning is min-based: the level of the conclusion-and-antecedent
 region is promoted to top when it realizes the antecedent's possibility,
 and kept as is otherwise.
+
+The measures read a distribution only through ``vocab``, ``top`` and
+``poss_mask(mask)`` and use no operator that needs a plain int, so they
+run unchanged on a ``lawlab.DistEnsemble``, whose ``poss_mask`` returns
+one level per enumerated distribution as a numpy row.
 """
 
 from __future__ import annotations
@@ -93,7 +98,8 @@ def nec(d: Dist, f: Formula) -> int:
 def _cond_poss_masks(d: Dist, c_mask: int, a_mask: int) -> int:
     pa = d.poss_mask(a_mask)
     pac = d.poss_mask(a_mask & c_mask)
-    return d.top if pac == pa else pac
+    # top where pac realizes pa, pac elsewhere
+    return pac + (pac == pa) * (d.top - pac)
 
 
 def cond_poss(d: Dist, conclusion: Formula, given: Formula) -> int:

@@ -72,13 +72,25 @@ def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
     return tokens
 
 
+# Parentheses, negations and right-nested implications make the parser
+# recurse, and every operator adds a level to the tree that the recursive
+# walks downstream (masks, formatting, equality) descend; both are held at
+# this depth so that deep input ends in a ParseError, not a RecursionError.
+MAX_FORMULA_DEPTH = 100
+
+
 class _FormulaParser:
+    """Recursive descent.  After each parse_* call, ``height`` holds the
+    height of the formula it returned: 0 for an atom or a constant."""
+
     def __init__(self, tokens: list[_Token], vocab: Vocabulary, line: int, end_column: int):
         self.tokens = tokens
         self.vocab = vocab
         self.line = line
         self.end_column = end_column
         self.pos = 0
+        self.nesting = 0
+        self.height = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -89,6 +101,22 @@ class _FormulaParser:
             raise ParseError("unexpected end of formula", self.line, self.end_column)
         self.pos += 1
         return tok
+
+    def too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(
+            f"formula nested more than {MAX_FORMULA_DEPTH} levels deep", self.line, tok.column
+        )
+
+    def descend(self, tok: _Token) -> None:
+        """Enter one level of parser recursion opened by tok."""
+        self.nesting += 1
+        if self.nesting > MAX_FORMULA_DEPTH:
+            raise self.too_deep(tok)
+
+    def grow(self, height: int, tok: _Token) -> None:
+        if height > MAX_FORMULA_DEPTH:
+            raise self.too_deep(tok)
+        self.height = height
 
     def parse(self) -> Formula:
         f = self.parse_iff()
@@ -101,42 +129,60 @@ class _FormulaParser:
         left = self.parse_implies()
         while (tok := self.peek()) is not None and tok.kind == "iff":
             self.take()
+            h = self.height
             left = iff(left, self.parse_implies())
+            self.grow(max(h, self.height) + 3, tok)
         return left
 
     def parse_implies(self) -> Formula:
         left = self.parse_or()
         if (tok := self.peek()) is not None and tok.kind == "implies":
             self.take()
-            return implies(left, self.parse_implies())
+            h = self.height
+            self.descend(tok)
+            right = self.parse_implies()
+            self.nesting -= 1
+            self.grow(max(h + 2, self.height + 1), tok)
+            return implies(left, right)
         return left
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
         while (tok := self.peek()) is not None and tok.kind == "or":
             self.take()
+            h = self.height
             left = Or(left, self.parse_and())
+            self.grow(max(h, self.height) + 1, tok)
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
         while (tok := self.peek()) is not None and tok.kind == "and":
             self.take()
+            h = self.height
             left = And(left, self.parse_unary())
+            self.grow(max(h, self.height) + 1, tok)
         return left
 
     def parse_unary(self) -> Formula:
         tok = self.take()
         if tok.kind == "not":
-            return Not(self.parse_unary())
+            self.descend(tok)
+            child = self.parse_unary()
+            self.nesting -= 1
+            self.grow(self.height + 1, tok)
+            return Not(child)
         if tok.kind == "lparen":
+            self.descend(tok)
             inner = self.parse_iff()
+            self.nesting -= 1
             closing = self.take()
             if closing.kind != "rparen":
                 raise ParseError(
                     f"expected ')', got {closing.text!r}", self.line, closing.column
                 )
             return inner
+        self.height = 0
         if tok.kind == "name":
             lowered = tok.text.lower()
             if lowered == "true":

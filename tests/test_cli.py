@@ -180,6 +180,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "parse error: line 2" in err
 
+    @pytest.mark.parametrize("formula", ["(" * 300 + "a" + ")" * 300, "!" * 2000 + "a"])
+    def test_deep_nesting(self, data_dir, capsys, formula):
+        rc = main(["indep", str(data_dir / "sample.dist"), "-a", formula, "-c", "a"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: formula nested more than 100 levels deep\n"
+
     def test_bad_query_formula(self, data_dir, capsys):
         rc = main(["query", str(data_dir / "penguin.kb"), "-e", "zz", "-c", "b"])
         assert rc == 2

@@ -1,9 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from ordindep import (
     CATALOG,
+    FALSE,
+    TRUE,
+    And,
+    Not,
+    Or,
     BudgetError,
     Vocabulary,
     check_law,
@@ -15,6 +21,7 @@ from ordindep import (
     generator_formulas,
     lab_vocabulary,
     law_by_id,
+    model_mask,
     realized_relation,
     relation_axioms_hold,
     run_catalog,
@@ -24,7 +31,6 @@ from ordindep.lawlab import (
     CRITERIA,
     RELATIONS,
     DistEnsemble,
-    EnsembleOps,
     ScalarOps,
     _realized_relations,
     law_cost,
@@ -106,22 +112,59 @@ class TestGeneratorFormulas:
         assert len(set(forms)) == expected
 
 
+# every ScalarOps method with its arity; the tracer in bench/spans.py
+# instruments the same ten names
+OPS_METHODS = {
+    "poss": 1,
+    "nec": 1,
+    "cond_poss": 2,
+    "cond_nec": 2,
+    "related_z": 2,
+    "strong_indep": 2,
+    "strong_indep_direct": 2,
+    "weak_indep": 2,
+    "weak_indep_direct": 2,
+    "entails_classically": 2,
+}
+
+MEASURES = frozenset({"poss", "nec", "cond_poss", "cond_nec"})
+
+
 class TestBackendAgreement:
-    def test_ops_agree_on_subsample(self):
+    def test_ops_agree_on_every_dist(self):
+        # the sweep runs ScalarOps on the whole ensemble, the re-check on
+        # one Dist: both must agree entry by entry, and the Dist side must
+        # hand back plain ints and bools (CLI text and --jsonl records are
+        # built from them)
         ens = DistEnsemble(2, 2)
-        vec = EnsembleOps(ens)
+        vec = ScalarOps(ens)
+        scalars = [ScalarOps(ens.dist_at(i)) for i in range(ens.count)]
         forms = generator_formulas(ens.vocab)
-        picked = range(0, ens.count, 7)
-        for a, c in itertools.product(forms[:7], forms[7:]):
-            rows = {
-                name: getattr(vec, name)(a, c)
-                for name in ("related_z", "strong_indep", "weak_indep",
-                             "strong_indep_direct", "weak_indep_direct")
-            }
-            for i in picked:
-                sca = ScalarOps(ens.dist_at(i))
-                for name, row in rows.items():
-                    assert bool(row[i]) == getattr(sca, name)(a, c), (name, i)
+        assert set(OPS_METHODS) == {
+            name for name in vars(ScalarOps) if not name.startswith("_")
+        }
+        for name, arity in OPS_METHODS.items():
+            want_type = int if name in MEASURES else bool
+            for combo in itertools.product(forms, repeat=arity):
+                row = np.broadcast_to(getattr(vec, name)(*combo), (ens.count,))
+                for i, sca in enumerate(scalars):
+                    got = getattr(sca, name)(*combo)
+                    assert type(got) is want_type, (name, combo, type(got))
+                    assert got == row[i], (name, combo, i)
+
+    def test_classify_fields_are_plain(self):
+        forms = generator_formulas(lab_vocabulary(2))
+        for d in enumerate_dists(2, 2):
+            for a, c in itertools.product(forms, repeat=2):
+                rep = ind.classify(d, a, c)
+                assert type(rep.unrelated_z) is bool
+                assert type(rep.weak) is bool
+                assert type(rep.strong) is bool
+                cells = (rep.poss_ac, rep.poss_a_nc, rep.poss_na_c, rep.poss_na_nc)
+                assert all(type(p) is int for p in cells)
+                assert rep.unrelated_z is not ind.related_z(d, a, c)
+                assert rep.weak is ind.weak_indep(d, a, c)
+                assert rep.strong is ind.strong_indep(d, a, c)
 
 
 class TestCheckLaw:
@@ -225,6 +268,44 @@ class TestRelationProbe:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             completeness_probe_exact(mode="nonsense")
+
+
+def _mask_formula(mask, vocab):
+    """A DNF formula whose model mask is exactly the given world set."""
+    f = FALSE
+    for w in range(vocab.world_count):
+        if (mask >> w) & 1:
+            world = TRUE
+            for i in range(vocab.n):
+                x = vocab.atom(i)
+                world = And(world, x if (w >> i) & 1 else Not(x))
+            f = Or(f, world)
+    return f
+
+
+class TestRealizedRelationMatchesDefinition:
+    # the probe reads strong dependence off the cell form; the definition
+    # goes through cond_nec, so each bit is checked against the other route
+    @staticmethod
+    def _check(d):
+        vocab = d.vocab
+        events = 1 << vocab.world_count
+        forms = [_mask_formula(x, vocab) for x in range(events)]
+        assert [model_mask(f, vocab.n) for f in forms] == list(range(events))
+        bits = realized_relation(d)
+        for x, y in itertools.product(range(events), repeat=2):
+            dep = bool((bits >> (x * events + y)) & 1)
+            assert dep == (not ind.strong_indep(d, forms[x], forms[y])), (d.levels, x, y)
+
+    @pytest.mark.parametrize("top", [1, 2, 3])
+    def test_every_dist_one_atom(self, top):
+        for d in enumerate_dists(1, top):
+            self._check(d)
+
+    def test_subsample_two_atoms(self):
+        for top in (1, 2, 3):
+            for d in list(enumerate_dists(2, top))[::9]:
+                self._check(d)
 
 
 class TestRealizedRelationKey:

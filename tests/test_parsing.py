@@ -18,6 +18,8 @@ from ordindep import (
     parse_formula,
     parse_kb,
 )
+from ordindep.logic import model_mask
+from ordindep.parsing import MAX_FORMULA_DEPTH
 from ordindep.ranking import Rule, RuleOrigin
 
 from strategies import dists
@@ -85,6 +87,41 @@ class TestFormulaGrammar:
     def test_trailing_junk(self):
         with pytest.raises(ParseError, match="unexpected token"):
             parse_formula("a b", AB)
+
+
+class TestNestingLimit:
+    # deep input must end in ParseError, never in a RecursionError from the
+    # parser or from the recursive mask, format and equality walks after it
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("(" * 300 + "a" + ")" * 300, 101),
+            ("!" * 2000 + "a", 101),
+            ("a" + "&a" * 2000, 202),
+            ("a" + "->a" * 1200, 302),
+            ("(" * 60 + "!" * 60 + "a" + ")" * 60, 101),
+        ],
+    )
+    def test_too_deep_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError, match="nested more than 100 levels deep") as ei:
+            parse_formula(text, AB, line=3, col_offset=5)
+        assert ei.value.line == 3
+        assert ei.value.column == 5 + column
+
+    def test_limit_itself_parses(self):
+        assert MAX_FORMULA_DEPTH == 100
+        assert parse_formula("(" * 100 + "a" + ")" * 100, AB) == A
+        f = parse_formula("!" * 100 + "a", AB)
+        assert model_mask(f, 2) == model_mask(A, 2)
+        assert parse_formula(format_formula(f, AB), AB) == f
+        chain = parse_formula("a" + " | b" * 100, AB)
+        assert model_mask(chain, 2) == model_mask(Or(A, B), 2)
+
+    def test_kb_reports_line_and_column(self):
+        text = "atoms: a\nrule: a |~ " + "!" * 150 + "a\n"
+        with pytest.raises(ParseError) as ei:
+            parse_kb(text)
+        assert str(ei.value) == "line 2, column 112: formula nested more than 100 levels deep"
 
 
 class TestKbParsing:
