@@ -109,10 +109,6 @@ def _cmd_indep(args) -> int:
     return 0
 
 
-def _print_counterexample(ce: Counterexample, indent: int = 4) -> None:
-    print(format_counterexample(ce, indent=indent))
-
-
 def _counterexample_record(ce: Counterexample | None):
     if ce is None:
         return None
@@ -132,7 +128,7 @@ def _cmd_check(args) -> int:
         print(f"{mark} {rep.law_id} ({rep.evaluations} evaluations)")
         if not rep.holds:
             failures += 1
-            _print_counterexample(rep.counterexample)
+            print(format_counterexample(rep.counterexample))
         records.append(
             {
                 "law": rep.law_id,
@@ -167,7 +163,7 @@ def _cmd_table(args) -> int:
             rep = verdict[(criterion, relation)]
             if not rep.holds:
                 print(f"counterexample for {relation} {criterion}:")
-                _print_counterexample(rep.counterexample, indent=2)
+                print(format_counterexample(rep.counterexample, indent=2))
     return 0
 
 

@@ -13,7 +13,9 @@ distribution only through ``vocab``, ``top`` and ``poss_mask``, so the
 checker hands ScalarOps a DistEnsemble, whose ``poss_mask`` returns one
 level per enumerated distribution as a numpy row, to sweep them all at
 once, and then a concrete Dist to confirm the first failure.  No measure
-or relation formula is written out a second time here.
+or relation formula is written out a second time here, and no composition
+law either: the criteria table's cells and the catalog laws that state a
+cell all come from ``composition_predicate``.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -229,11 +231,52 @@ class LawReport:
     counterexample: Optional[Counterexample]
 
 
+# -- composition criteria ----------------------------------------------
+
+# criterion -> (states dependence?, connective, joins the second argument?):
+# "CCD" reads dep(a, c) and dep(b, c) imply dep(a&b, c); "CCD-r" reads
+# dep(a, b) and dep(a, c) imply dep(a, b&c).
+CRITERIA: dict[str, tuple[bool, type, bool]] = {
+    "CCD": (True, And, False),
+    "CCI": (False, And, False),
+    "CCD-r": (True, And, True),
+    "CCI-r": (False, And, True),
+    "DCI": (False, Or, False),
+    "DCI-r": (False, Or, True),
+    "DCD": (True, Or, False),
+    "DCD-r": (True, Or, True),
+}
+
+# Each relation's independence test; dependence is its negation.
+RELATIONS: dict[str, Callable] = {
+    "Zadeh": lambda o, x, y: np.logical_not(o.related_z(x, y)),
+    "Strong": lambda o, x, y: o.strong_indep(x, y),
+    "Weak": lambda o, x, y: o.weak_indep(x, y),
+}
+
+
+def composition_predicate(relation: str, criterion: str) -> Callable:
+    """The law predicate of one relation x criterion cell, arity 3."""
+    ind = RELATIONS[relation]
+    dependence, join, second = CRITERIA[criterion]
+
+    def rel(o, x, y):
+        return np.logical_not(ind(o, x, y)) if dependence else ind(o, x, y)
+
+    if second:
+        return lambda o, a, b, c: _imp(rel(o, a, b) & rel(o, a, c), rel(o, a, join(b, c)))
+    return lambda o, a, b, c: _imp(rel(o, a, c) & rel(o, b, c), rel(o, join(a, b), c))
+
+
 def _catalog() -> tuple[Law, ...]:
     laws: list[Law] = []
 
     def add(law_id: str, arity: int, note: str, predicate: Callable):
         laws.append(Law(law_id, arity, note, predicate))
+
+    # a law that is a table cell; its note may state the contrapositive
+    def cell(law_id: str, relation: str, criterion: str, note: str):
+        add(law_id, 3, note, composition_predicate(relation, criterion))
 
     # -- measure layer ------------------------------------------------
 
@@ -353,34 +396,14 @@ def _catalog() -> tuple[Law, ...]:
         "related(a, c) iff related(c, a)",
         lambda o, a, c: _iff(o.related_z(a, c), o.related_z(c, a)),
     )
-    add(
-        "zadeh-split-disjunction-conclusion", 3,
-        "related(a, b|c) implies related(a, b) or related(a, c)",
-        lambda o, a, b, c: _imp(
-            o.related_z(a, Or(b, c)), o.related_z(a, b) | o.related_z(a, c)
-        ),
-    )
-    add(
-        "zadeh-split-disjunction-antecedent", 3,
-        "related(a|b, c) implies related(a, c) or related(b, c)",
-        lambda o, a, b, c: _imp(
-            o.related_z(Or(a, b), c), o.related_z(a, c) | o.related_z(b, c)
-        ),
-    )
-    add(
-        "zadeh-merge-disjunction-antecedent", 3,
-        "related(a, c) and related(b, c) imply related(a|b, c)",
-        lambda o, a, b, c: _imp(
-            o.related_z(a, c) & o.related_z(b, c), o.related_z(Or(a, b), c)
-        ),
-    )
-    add(
-        "zadeh-merge-disjunction-conclusion", 3,
-        "related(a, b) and related(a, c) imply related(a, b|c)",
-        lambda o, a, b, c: _imp(
-            o.related_z(a, b) & o.related_z(a, c), o.related_z(a, Or(b, c))
-        ),
-    )
+    cell("zadeh-split-disjunction-conclusion", "Zadeh", "DCI-r",
+         "related(a, b|c) implies related(a, b) or related(a, c)")
+    cell("zadeh-split-disjunction-antecedent", "Zadeh", "DCI",
+         "related(a|b, c) implies related(a, c) or related(b, c)")
+    cell("zadeh-merge-disjunction-antecedent", "Zadeh", "DCD",
+         "related(a, c) and related(b, c) imply related(a|b, c)")
+    cell("zadeh-merge-disjunction-conclusion", "Zadeh", "DCD-r",
+         "related(a, b) and related(a, c) imply related(a, b|c)")
     add(
         "zadeh-false-unrelated", 1,
         "false is unrelated to everything",
@@ -467,38 +490,14 @@ def _catalog() -> tuple[Law, ...]:
             o.poss(Not(c)) >= o.poss(a), np.logical_not(o.strong_indep(a, c))
         ),
     )
-    add(
-        "strong-dep-conjunction-split", 3,
-        "dep(a, b&c) implies dep(a, b) or dep(a, c)",
-        lambda o, a, b, c: _imp(
-            np.logical_not(o.strong_indep(a, And(b, c))),
-            np.logical_not(o.strong_indep(a, b)) | np.logical_not(o.strong_indep(a, c)),
-        ),
-    )
-    add(
-        "strong-dep-antecedent-split", 3,
-        "dep(a|b, c) implies dep(a, c) or dep(b, c)",
-        lambda o, a, b, c: _imp(
-            np.logical_not(o.strong_indep(Or(a, b), c)),
-            np.logical_not(o.strong_indep(a, c)) | np.logical_not(o.strong_indep(b, c)),
-        ),
-    )
-    add(
-        "strong-dep-disjunction-merge", 3,
-        "dep(a, c) and dep(b, c) imply dep(a|b, c)",
-        lambda o, a, b, c: _imp(
-            np.logical_not(o.strong_indep(a, c)) & np.logical_not(o.strong_indep(b, c)),
-            np.logical_not(o.strong_indep(Or(a, b), c)),
-        ),
-    )
-    add(
-        "strong-dep-consequent-merge", 3,
-        "dep(a, b) and dep(a, c) imply dep(a, b&c)",
-        lambda o, a, b, c: _imp(
-            np.logical_not(o.strong_indep(a, b)) & np.logical_not(o.strong_indep(a, c)),
-            np.logical_not(o.strong_indep(a, And(b, c))),
-        ),
-    )
+    cell("strong-dep-conjunction-split", "Strong", "CCI-r",
+         "dep(a, b&c) implies dep(a, b) or dep(a, c)")
+    cell("strong-dep-antecedent-split", "Strong", "DCI",
+         "dep(a|b, c) implies dep(a, c) or dep(b, c)")
+    cell("strong-dep-disjunction-merge", "Strong", "DCD",
+         "dep(a, c) and dep(b, c) imply dep(a|b, c)")
+    cell("strong-dep-consequent-merge", "Strong", "CCD-r",
+         "dep(a, b) and dep(a, c) imply dep(a, b&c)")
     add(
         "strong-false-antecedent-dep", 1,
         "false is dependent with everything (antecedent side)",
@@ -772,21 +771,19 @@ def check_law(
     return LawReport(law.law_id, n, top, done, True, None)
 
 
-def run_catalog(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[LawReport]:
-    """Check every cataloged law at one (n, top); budget covers the total."""
+def _sweep(laws, n: int, top: int, budget: int, what: str) -> list[LawReport]:
+    """Check the laws on one shared ensemble; budget covers the total."""
     ensemble = DistEnsemble(n, top, budget)
     gens = len(generator_formulas(ensemble.vocab))
-    total = sum(law_cost(law, ensemble.count, gens) for law in CATALOG)
+    total = sum(law_cost(law, ensemble.count, gens) for law in laws)
     if total > budget:
-        raise BudgetError(f"full catalog needs {total} evaluations, budget is {budget}")
-    return [check_law(law, n, top, budget, ensemble) for law in CATALOG]
+        raise BudgetError(f"{what} needs {total} evaluations, budget is {budget}")
+    return [check_law(law, n, top, budget, ensemble) for law in laws]
 
 
-# -- criteria table ----------------------------------------------------
-
-CRITERIA = ("CCD", "CCI", "CCD-r", "CCI-r", "DCI", "DCI-r", "DCD", "DCD-r")
-
-RELATIONS = ("Zadeh", "Strong", "Weak")
+def run_catalog(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[LawReport]:
+    """Check every cataloged law at one (n, top); budget covers the total."""
+    return _sweep(CATALOG, n, top, budget, "full catalog")
 
 
 @dataclass(frozen=True)
@@ -799,56 +796,15 @@ class CriterionReport:
     counterexample: Optional[Counterexample]
 
 
-def _relation_ind(relation: str) -> Callable:
-    if relation == "Zadeh":
-        return lambda o, x, y: np.logical_not(o.related_z(x, y))
-    if relation == "Strong":
-        return lambda o, x, y: o.strong_indep(x, y)
-    if relation == "Weak":
-        return lambda o, x, y: o.weak_indep(x, y)
-    raise ValueError(f"unknown relation: {relation!r}")
-
-
-def _criterion_predicate(criterion: str, ind: Callable) -> Callable:
-    def dep(o, x, y):
-        return np.logical_not(ind(o, x, y))
-
-    if criterion == "CCD":
-        return lambda o, a, b, c: _imp(dep(o, a, c) & dep(o, b, c), dep(o, And(a, b), c))
-    if criterion == "CCI":
-        return lambda o, a, b, c: _imp(ind(o, a, c) & ind(o, b, c), ind(o, And(a, b), c))
-    if criterion == "CCD-r":
-        return lambda o, a, b, c: _imp(dep(o, a, b) & dep(o, a, c), dep(o, a, And(b, c)))
-    if criterion == "CCI-r":
-        return lambda o, a, b, c: _imp(ind(o, a, b) & ind(o, a, c), ind(o, a, And(b, c)))
-    if criterion == "DCI":
-        return lambda o, a, b, c: _imp(ind(o, a, c) & ind(o, b, c), ind(o, Or(a, b), c))
-    if criterion == "DCI-r":
-        return lambda o, a, b, c: _imp(ind(o, a, b) & ind(o, a, c), ind(o, a, Or(b, c)))
-    if criterion == "DCD":
-        return lambda o, a, b, c: _imp(dep(o, a, c) & dep(o, b, c), dep(o, Or(a, b), c))
-    if criterion == "DCD-r":
-        return lambda o, a, b, c: _imp(dep(o, a, b) & dep(o, a, c), dep(o, a, Or(b, c)))
-    raise ValueError(f"unknown criterion: {criterion!r}")
-
-
 def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[CriterionReport]:
     """All 8 composition criteria crossed with the 3 relations."""
-    ensemble = DistEnsemble(n, top, budget)
-    gens = len(generator_formulas(ensemble.vocab))
-    total = len(CRITERIA) * len(RELATIONS) * ensemble.count * gens**3
-    if total > budget:
-        raise BudgetError(f"criteria table needs {total} evaluations, budget is {budget}")
-    reports = []
-    for relation in RELATIONS:
-        ind = _relation_ind(relation)
-        for criterion in CRITERIA:
-            law = Law(f"{relation.lower()}-{criterion.lower()}", 3, "", _criterion_predicate(criterion, ind))
-            rep = check_law(law, n, top, budget, ensemble)
-            reports.append(
-                CriterionReport(criterion, relation, n, top, rep.holds, rep.counterexample)
-            )
-    return reports
+    cells = [(relation, criterion) for relation in RELATIONS for criterion in CRITERIA]
+    laws = [Law(f"{r.lower()}-{c.lower()}", 3, "", composition_predicate(r, c)) for r, c in cells]
+    reports = _sweep(laws, n, top, budget, "criteria table")
+    return [
+        CriterionReport(criterion, relation, n, top, rep.holds, rep.counterexample)
+        for (relation, criterion), rep in zip(cells, reports)
+    ]
 
 
 # -- completeness probe ------------------------------------------------
@@ -931,6 +887,15 @@ def _realized_relations(n: int, tops=(1, 2, 3)) -> set[int]:
     return seen
 
 
+def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> ProbeReport:
+    """Count the candidate relations, those the axioms admit, and those of
+    the admitted that no distribution realizes."""
+    candidates = list(candidates)
+    admitted = [bits for bits in candidates if relation_axioms_hold(bits, n, mode)]
+    unrealized = tuple(bits for bits in admitted if bits not in realized)
+    return ProbeReport(n, len(candidates), len(admitted), len(admitted) - len(unrealized), unrealized)
+
+
 def completeness_probe_exact(tops=(1, 2, 3), mode: str = "printed") -> ProbeReport:
     """Single-atom case: every abstract relation, checked outright.
 
@@ -939,32 +904,19 @@ def completeness_probe_exact(tops=(1, 2, 3), mode: str = "printed") -> ProbeRepo
     """
     n = 1
     events = 1 << (1 << n)
-    full = events - 1
-    forced_in, forced_out = _forced_pairs(events, full, mode)
+    forced_in, forced_out = _forced_pairs(events, events - 1, mode)
     free = [
-        (x, y)
+        1 << (x * events + y)
         for x in range(events)
         for y in range(events)
         if (x, y) not in forced_in and (x, y) not in forced_out
     ]
-    base = 0
-    for x, y in forced_in:
-        base |= 1 << (x * events + y)
-    realized = _realized_relations(n, tops)
-    candidates = 0
-    satisfying = 0
-    unrealized = []
-    for picks in itertools.product((0, 1), repeat=len(free)):
-        bits = base
-        for take, (x, y) in zip(picks, free):
-            if take:
-                bits |= 1 << (x * events + y)
-        candidates += 1
-        if relation_axioms_hold(bits, n, mode):
-            satisfying += 1
-            if bits not in realized:
-                unrealized.append(bits)
-    return ProbeReport(n, candidates, satisfying, satisfying - len(unrealized), tuple(unrealized))
+    base = sum(1 << (x * events + y) for x, y in forced_in)
+    candidates = (
+        base + sum(bit for take, bit in zip(picks, free) if take)
+        for picks in itertools.product((0, 1), repeat=len(free))
+    )
+    return _score(n, candidates, _realized_relations(n, tops), mode)
 
 
 def completeness_probe_sampled(
@@ -973,25 +925,14 @@ def completeness_probe_sampled(
     """Two-atom case: 2**256 candidate relations rule out enumeration, so
     mutate realized relations pairwise and keep the axiom-satisfying ones."""
     n = 2
-    events = 1 << (1 << n)
-    pair_count = events * events
+    pair_count = (1 << (1 << n)) ** 2
     realized = _realized_relations(n, tops)
     rng = random.Random(seed)
     pool = sorted(realized)
-    candidates = 0
-    satisfying = 0
-    unrealized = []
-    seen = set()
+    draws = []
     for _ in range(samples):
         bits = rng.choice(pool)
         for _ in range(rng.randint(1, flips)):
             bits ^= 1 << rng.randrange(pair_count)
-        if bits in seen:
-            continue
-        seen.add(bits)
-        candidates += 1
-        if relation_axioms_hold(bits, n, mode):
-            satisfying += 1
-            if bits not in realized:
-                unrealized.append(bits)
-    return ProbeReport(n, candidates, satisfying, satisfying - len(unrealized), tuple(unrealized))
+        draws.append(bits)
+    return _score(n, dict.fromkeys(draws), realized, mode)

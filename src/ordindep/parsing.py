@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Vocabulary, iff, implies
+from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Vocabulary, format_formula, iff, implies
 from .measures import Dist
 from .ranking import Rule, RuleBase, inject_independence
 
@@ -78,10 +78,15 @@ def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
 # this depth so that deep input ends in a ParseError, not a RecursionError.
 MAX_FORMULA_DEPTH = 100
 
+# `<->` repeats both operands in the tree it builds, so each one doubles
+# the work of every walk downstream; the tree's node count is held here.
+MAX_FORMULA_SIZE = 10_000
+
 
 class _FormulaParser:
-    """Recursive descent.  After each parse_* call, ``height`` holds the
-    height of the formula it returned: 0 for an atom or a constant."""
+    """Recursive descent.  After each parse_* call, ``height`` and ``size``
+    hold the height and node count of the formula it returned: 0 and 1 for
+    an atom or a constant."""
 
     def __init__(self, tokens: list[_Token], vocab: Vocabulary, line: int, end_column: int):
         self.tokens = tokens
@@ -91,6 +96,7 @@ class _FormulaParser:
         self.pos = 0
         self.nesting = 0
         self.height = 0
+        self.size = 1
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -113,10 +119,15 @@ class _FormulaParser:
         if self.nesting > MAX_FORMULA_DEPTH:
             raise self.too_deep(tok)
 
-    def grow(self, height: int, tok: _Token) -> None:
+    def grow(self, height: int, size: int, tok: _Token) -> None:
         if height > MAX_FORMULA_DEPTH:
             raise self.too_deep(tok)
+        if size > MAX_FORMULA_SIZE:
+            raise ParseError(
+                f"formula expands to more than {MAX_FORMULA_SIZE} nodes", self.line, tok.column
+            )
         self.height = height
+        self.size = size
 
     def parse(self) -> Formula:
         f = self.parse_iff()
@@ -129,20 +140,20 @@ class _FormulaParser:
         left = self.parse_implies()
         while (tok := self.peek()) is not None and tok.kind == "iff":
             self.take()
-            h = self.height
+            h, n = self.height, self.size
             left = iff(left, self.parse_implies())
-            self.grow(max(h, self.height) + 3, tok)
+            self.grow(max(h, self.height) + 3, 5 + 2 * (n + self.size), tok)
         return left
 
     def parse_implies(self) -> Formula:
         left = self.parse_or()
         if (tok := self.peek()) is not None and tok.kind == "implies":
             self.take()
-            h = self.height
+            h, n = self.height, self.size
             self.descend(tok)
             right = self.parse_implies()
             self.nesting -= 1
-            self.grow(max(h + 2, self.height + 1), tok)
+            self.grow(max(h + 2, self.height + 1), n + self.size + 2, tok)
             return implies(left, right)
         return left
 
@@ -150,18 +161,18 @@ class _FormulaParser:
         left = self.parse_and()
         while (tok := self.peek()) is not None and tok.kind == "or":
             self.take()
-            h = self.height
+            h, n = self.height, self.size
             left = Or(left, self.parse_and())
-            self.grow(max(h, self.height) + 1, tok)
+            self.grow(max(h, self.height) + 1, n + self.size + 1, tok)
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
         while (tok := self.peek()) is not None and tok.kind == "and":
             self.take()
-            h = self.height
+            h, n = self.height, self.size
             left = And(left, self.parse_unary())
-            self.grow(max(h, self.height) + 1, tok)
+            self.grow(max(h, self.height) + 1, n + self.size + 1, tok)
         return left
 
     def parse_unary(self) -> Formula:
@@ -170,7 +181,7 @@ class _FormulaParser:
             self.descend(tok)
             child = self.parse_unary()
             self.nesting -= 1
-            self.grow(self.height + 1, tok)
+            self.grow(self.height + 1, self.size + 1, tok)
             return Not(child)
         if tok.kind == "lparen":
             self.descend(tok)
@@ -182,7 +193,7 @@ class _FormulaParser:
                     f"expected ')', got {closing.text!r}", self.line, closing.column
                 )
             return inner
-        self.height = 0
+        self.height, self.size = 0, 1
         if tok.kind == "name":
             lowered = tok.text.lower()
             if lowered == "true":
@@ -252,6 +263,20 @@ def _strip_comment(raw: str) -> str:
     return raw.split("#", 1)[0]
 
 
+def _parse_atoms(rest: str, vocab: Vocabulary | None, line: int, rest_offset: int) -> Vocabulary:
+    """The vocabulary an `atoms:` line declares; vocab is the one declared
+    by an earlier line, if any."""
+    if vocab is not None:
+        raise ParseError("duplicate atoms line", line, 1)
+    names = rest.split()
+    if not names:
+        raise ParseError("atoms line names no atoms", line, rest_offset + 1)
+    try:
+        return Vocabulary(tuple(names))
+    except ValueError as e:
+        raise ParseError(str(e), line, rest_offset + 1) from None
+
+
 def parse_kb(text: str) -> ParsedDocument:
     vocab: Vocabulary | None = None
     rules: list[Rule] = []
@@ -263,15 +288,7 @@ def parse_kb(text: str) -> ParsedDocument:
             continue
         head, rest, rest_offset = _split_directive(stripped, line)
         if head == "atoms":
-            if vocab is not None:
-                raise ParseError("duplicate atoms line", line, 1)
-            names = rest.split()
-            if not names:
-                raise ParseError("atoms line names no atoms", line, rest_offset + 1)
-            try:
-                vocab = Vocabulary(tuple(names))
-            except ValueError as e:
-                raise ParseError(str(e), line, rest_offset + 1) from None
+            vocab = _parse_atoms(rest, vocab, line, rest_offset)
         elif head == "rule":
             if vocab is None:
                 raise ParseError("rule appears before the atoms line", line, 1)
@@ -319,8 +336,6 @@ def parse_kb(text: str) -> ParsedDocument:
 
 
 def format_rule(rule: Rule, vocab: Vocabulary) -> str:
-    from .logic import format_formula
-
     return (
         f"{format_formula(rule.antecedent, vocab)} {RULE_SEPARATOR} "
         f"{format_formula(rule.consequent, vocab)}"
@@ -369,15 +384,7 @@ def parse_dist(text: str) -> Dist:
             continue
         head, rest, rest_offset = _split_directive(stripped, line)
         if head == "atoms":
-            if vocab is not None:
-                raise ParseError("duplicate atoms line", line, 1)
-            names = rest.split()
-            if not names:
-                raise ParseError("atoms line names no atoms", line, rest_offset + 1)
-            try:
-                vocab = Vocabulary(tuple(names))
-            except ValueError as e:
-                raise ParseError(str(e), line, rest_offset + 1) from None
+            vocab = _parse_atoms(rest, vocab, line, rest_offset)
         elif head == "top":
             if top is not None:
                 raise ParseError("duplicate top line", line, 1)

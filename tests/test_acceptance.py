@@ -55,9 +55,8 @@ from ordindep.lawlab import (
     RELATIONS,
     DistEnsemble,
     ScalarOps,
-    _criterion_predicate,
-    _relation_ind,
     check_law,
+    composition_predicate,
     format_counterexample,
     law_cost,
 )
@@ -276,7 +275,7 @@ def test_criterion_4_criteria_table():
             cell = cells[(relation, criterion)]
             problems += refutation_problems(
                 f"{relation} x {criterion}", n, top, cell.holds, cell.counterexample,
-                _criterion_predicate(criterion, _relation_ind(relation)),
+                composition_predicate(relation, criterion),
             )
         for law_id in sorted(CLAIMED_EQUIVALENCES | REFUTED_EQUIVALENCES):
             law = law_by_id(law_id)

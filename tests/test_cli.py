@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,18 @@ class TestTable:
         assert "counterexample for Strong CCI:" in out
 
 
+# captured `check` and `table` runs, read here and never written
+LAWLAB_TRANSCRIPTS = Path(__file__).resolve().parent.parent / "bench" / "expected" / "lawlab.json"
+
+
+@pytest.mark.parametrize("command", ["check", "table"])
+def test_lawlab_output_matches_transcript(capsys, command):
+    expected = json.loads(LAWLAB_TRANSCRIPTS.read_text(encoding="utf-8"))[f"{command}_2x3"]
+    rc = main([command, "--atoms", "2", "--top", "3", "--budget", "2000000000"])
+    assert rc == expected["code"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
 class TestErrorPaths:
     def test_inconsistent_base(self, data_dir, capsys):
         rc = main(["rank", str(data_dir / "contradictory.kb")])
@@ -186,6 +199,14 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "parse error: formula nested more than 100 levels deep\n"
+
+    def test_iff_chain_size_limit(self, data_dir, capsys):
+        dist = str(data_dir / "sample.dist")
+        assert main(["indep", dist, "-a", "a" + " <-> a" * 10, "-c", "a"]) == 0
+        capsys.readouterr()
+        rc = main(["indep", dist, "-a", "a" + " <-> a" * 12, "-c", "a"])
+        assert rc == 2
+        assert capsys.readouterr().err == "parse error: formula expands to more than 10000 nodes\n"
 
     def test_bad_query_formula(self, data_dir, capsys):
         rc = main(["query", str(data_dir / "penguin.kb"), "-e", "zz", "-c", "b"])

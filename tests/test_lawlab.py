@@ -232,6 +232,25 @@ class TestCriteriaTable:
         for c in cells:
             assert c.holds == (c.counterexample is None)
 
+    def test_cell_laws_match_their_cells(self):
+        # catalog laws built as table cells; their notes state each cell's
+        # contrapositive
+        cell_laws = {
+            "zadeh-split-disjunction-conclusion": ("Zadeh", "DCI-r"),
+            "zadeh-split-disjunction-antecedent": ("Zadeh", "DCI"),
+            "zadeh-merge-disjunction-antecedent": ("Zadeh", "DCD"),
+            "zadeh-merge-disjunction-conclusion": ("Zadeh", "DCD-r"),
+            "strong-dep-conjunction-split": ("Strong", "CCI-r"),
+            "strong-dep-antecedent-split": ("Strong", "DCI"),
+            "strong-dep-disjunction-merge": ("Strong", "DCD"),
+            "strong-dep-consequent-merge": ("Strong", "CCD-r"),
+        }
+        cells = {(c.relation, c.criterion): c for c in criteria_table(2, 2)}
+        reports = {r.law_id: r for r in run_catalog(2, 2)}
+        for law_id, cell in cell_laws.items():
+            rep = reports[law_id]
+            assert (rep.holds, rep.counterexample) == (cells[cell].holds, cells[cell].counterexample)
+
 
 class TestRelationProbe:
     def test_realized_relation_counts(self):

@@ -19,7 +19,7 @@ from ordindep import (
     parse_kb,
 )
 from ordindep.logic import model_mask
-from ordindep.parsing import MAX_FORMULA_DEPTH
+from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE
 from ordindep.ranking import Rule, RuleOrigin
 
 from strategies import dists
@@ -122,6 +122,45 @@ class TestNestingLimit:
         with pytest.raises(ParseError) as ei:
             parse_kb(text)
         assert str(ei.value) == "line 2, column 112: formula nested more than 100 levels deep"
+
+
+
+def _nodes(f) -> int:
+    if isinstance(f, Not):
+        return 1 + _nodes(f.child)
+    if isinstance(f, (And, Or)):
+        return 1 + _nodes(f.left) + _nodes(f.right)
+    return 1
+
+
+class TestSizeLimit:
+    # `<->` repeats both operands, so `a` and k more `<-> a` make a tree of
+    # 8 * 2**k - 7 nodes: 8185 for ten operators, 32761 for twelve
+    def test_iff_chain(self):
+        assert MAX_FORMULA_SIZE == 10_000
+        assert _nodes(parse_formula("a" + " <-> a" * 10, AB)) == 8185
+        with pytest.raises(ParseError, match="formula expands to more than 10000 nodes") as ei:
+            parse_formula("a" + " <-> a" * 12, AB, line=3, col_offset=5)
+        # the eleventh operator is the first past the limit
+        assert ei.value.line == 3
+        assert ei.value.column == 5 + len("a" + " <-> a" * 10) + 2
+
+    def test_limit_itself_parses(self):
+        def chain(k):
+            return "(a" + " <-> a" * k + ")"
+
+        # 8185 + 1017 + 505 + 249 + 25 + 9 + 4 nodes joined by six `&`
+        text = " & ".join([chain(10), chain(7), chain(6), chain(5), chain(2), chain(1), "!!!a"])
+        assert _nodes(parse_formula(text, AB)) == MAX_FORMULA_SIZE
+        with pytest.raises(ParseError, match="more than 10000 nodes"):
+            parse_formula(text.replace("!!!a", "!!!!a"), AB)
+
+    def test_kb_reports_line_and_column(self):
+        rule = "rule: b |~ a" + " <-> a" * 12
+        with pytest.raises(ParseError) as ei:
+            parse_kb("atoms: a b\n" + rule + "\n")
+        column = len("rule: b |~ a" + " <-> a" * 10) + 2
+        assert str(ei.value) == f"line 2, column {column}: formula expands to more than 10000 nodes"
 
 
 class TestKbParsing:
