@@ -62,29 +62,41 @@ from .parsing import (
     parse_formula,
     parse_kb,
 )
-from .lawlab import (
-    CATALOG,
-    DEFAULT_BUDGET,
-    BudgetError,
-    Counterexample,
-    CriterionReport,
-    DistEnsemble,
-    Law,
-    LawReport,
-    ProbeReport,
-    check_law,
-    completeness_probe_exact,
-    completeness_probe_sampled,
-    count_dists,
-    criteria_table,
-    enumerate_dists,
-    generator_formulas,
-    lab_vocabulary,
-    law_by_id,
-    realized_relation,
-    relation_axioms_hold,
-    run_catalog,
+
+# The law lab needs numpy; its names load on first access (PEP 562), so
+# that importing the package for ranking and queries does not pay for it.
+_LAWLAB_NAMES = (
+    "CATALOG",
+    "DEFAULT_BUDGET",
+    "BudgetError",
+    "Counterexample",
+    "CriterionReport",
+    "DistEnsemble",
+    "Law",
+    "LawReport",
+    "ProbeReport",
+    "check_law",
+    "completeness_probe_exact",
+    "completeness_probe_sampled",
+    "count_dists",
+    "criteria_table",
+    "enumerate_dists",
+    "generator_formulas",
+    "lab_vocabulary",
+    "law_by_id",
+    "realized_relation",
+    "relation_axioms_hold",
+    "run_catalog",
 )
+
+
+def __getattr__(name):
+    if name in _LAWLAB_NAMES:
+        from . import lawlab
+
+        return getattr(lawlab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -140,25 +152,5 @@ __all__ = [
     "parse_dist",
     "parse_formula",
     "parse_kb",
-    "CATALOG",
-    "DEFAULT_BUDGET",
-    "BudgetError",
-    "Counterexample",
-    "CriterionReport",
-    "DistEnsemble",
-    "Law",
-    "LawReport",
-    "ProbeReport",
-    "check_law",
-    "completeness_probe_exact",
-    "completeness_probe_sampled",
-    "count_dists",
-    "criteria_table",
-    "enumerate_dists",
-    "generator_formulas",
-    "lab_vocabulary",
-    "law_by_id",
-    "realized_relation",
-    "relation_axioms_hold",
-    "run_catalog",
+    *_LAWLAB_NAMES,
 ]

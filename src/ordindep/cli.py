@@ -13,16 +13,6 @@ import sys
 from pathlib import Path
 
 from .independence import classify, cond_weak_indep
-from .lawlab import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    Counterexample,
-    criteria_table,
-    format_counterexample,
-    run_catalog,
-    CRITERIA,
-    RELATIONS,
-)
 from .logic import format_formula
 from .parsing import (
     ParseError,
@@ -109,7 +99,7 @@ def _cmd_indep(args) -> int:
     return 0
 
 
-def _counterexample_record(ce: Counterexample | None):
+def _counterexample_record(ce):
     if ce is None:
         return None
     vocab = ce.dist.vocab
@@ -119,8 +109,17 @@ def _counterexample_record(ce: Counterexample | None):
     }
 
 
+def _budget(args) -> int:
+    from .lawlab import DEFAULT_BUDGET
+
+    return DEFAULT_BUDGET if args.budget is None else args.budget
+
+
+# check and table import the law lab (and numpy) only when they run
 def _cmd_check(args) -> int:
-    reports = run_catalog(args.atoms, args.top, args.budget)
+    from .lawlab import format_counterexample, run_catalog
+
+    reports = run_catalog(args.atoms, args.top, _budget(args))
     records = []
     failures = 0
     for rep in reports:
@@ -148,7 +147,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    reports = criteria_table(args.atoms, args.top, args.budget)
+    from .lawlab import CRITERIA, RELATIONS, criteria_table, format_counterexample
+
+    reports = criteria_table(args.atoms, args.top, _budget(args))
     verdict = {(r.criterion, r.relation): r for r in reports}
     width = max(len("criterion"), max(len(c) for c in CRITERIA))
     header = "criterion".ljust(width) + "".join(rel.rjust(8) for rel in RELATIONS)
@@ -197,14 +198,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the law catalog at desk scale")
     p_check.add_argument("--atoms", type=int, required=True)
     p_check.add_argument("--top", type=int, required=True)
-    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_check.add_argument("--budget", type=int)
     p_check.add_argument("--jsonl", help="also write line-delimited records here")
     p_check.set_defaults(fn=_cmd_check)
 
     p_table = sub.add_parser("table", help="print the composition criteria table")
     p_table.add_argument("--atoms", type=int, required=True)
     p_table.add_argument("--top", type=int, required=True)
-    p_table.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_table.add_argument("--budget", type=int)
     p_table.set_defaults(fn=_cmd_table)
 
     return parser
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (BudgetError, ValueError) as e:
+    except ValueError as e:  # includes the law lab's BudgetError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -54,7 +54,7 @@ MAX_LAB_TOP = 3
 LAB_ATOM_NAMES = ("a", "b", "c")
 
 
-class BudgetError(RuntimeError):
+class BudgetError(ValueError):
     """A requested sweep exceeds the evaluation budget."""
 
 

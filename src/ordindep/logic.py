@@ -148,12 +148,10 @@ FALSE = FalseFormula()
 
 @lru_cache(maxsize=None)
 def _atom_pattern(i: int, n: int) -> int:
-    # worlds are consecutive bits, so atom i's models form a fixed stripe
-    mask = 0
-    for w in range(1 << n):
-        if (w >> i) & 1:
-            mask |= 1 << w
-    return mask
+    # worlds are consecutive bits, so atom i's models form a fixed stripe of
+    # 2**i clear bits then 2**i set bits; all-ones // (2**2**i + 1) is that
+    # stripe's set runs shifted down to bit 0
+    return ((1 << (1 << n)) - 1) // ((1 << (1 << i)) + 1) << (1 << i)
 
 
 class Atom(Formula):
@@ -277,10 +275,14 @@ def evaluate(world: int, formula: Formula) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def mask_worlds(mask: int) -> list[int]:
+    """The worlds in a bitmask, ascending."""
+    return [w for w, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 def models(formula: Formula, vocab: Vocabulary) -> tuple[int, ...]:
     """All worlds satisfying the formula, ascending."""
-    mask = model_mask(formula, vocab.n)
-    return tuple(w for w in range(vocab.world_count) if (mask >> w) & 1)
+    return tuple(mask_worlds(model_mask(formula, vocab.n)))
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:

@@ -36,44 +36,48 @@ class TriState(enum.Enum):
 
 @dataclass(frozen=True)
 class Dist:
-    """Normalized possibility distribution over the worlds of a vocabulary."""
+    """Normalized possibility distribution over the worlds of a vocabulary.
+
+    Besides the level of each world it keeps the level bands: for every
+    positive level in use, the mask of the worlds at exactly that level,
+    highest level first.  The bands are derived from ``levels`` and take
+    no part in equality or hashing.
+    """
 
     vocab: Vocabulary
     top: int
     levels: tuple[int, ...]
-    _poss_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bands: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top < 1:
             raise ValueError(f"top level must be at least 1, got {self.top}")
-        if len(self.levels) != self.vocab.world_count:
-            raise ValueError(
-                f"need {self.vocab.world_count} levels for {self.vocab.n} atoms, got {len(self.levels)}"
-            )
+        count = self.vocab.world_count
+        if len(self.levels) != count:
+            raise ValueError(f"need {count} levels for {self.vocab.n} atoms, got {len(self.levels)}")
+        rows: dict[int, bytearray] = {}  # level -> its band as binary digits, world 0 last
         for w, lv in enumerate(self.levels):
             if not (0 <= lv <= self.top):
                 raise ValueError(f"level {lv} at world {w} outside 0..{self.top}")
-        if max(self.levels) != self.top:
+            if lv:
+                row = rows.get(lv)
+                if row is None:
+                    row = rows[lv] = bytearray(b"0") * count
+                row[count - 1 - w] = 0x31  # "1"
+        if self.top not in rows:
             raise ValueError("distribution is not normalized: no world at the top level")
+        bands = tuple((lv, int(rows[lv], 2)) for lv in sorted(rows, reverse=True))
+        object.__setattr__(self, "_bands", bands)
 
     def poss_mask(self, mask: int) -> int:
-        """Max level over a world bitmask; 0 for the empty mask."""
-        cached = self._poss_cache.get(mask)
-        if cached is not None:
-            return cached
-        best = 0
-        m = mask
-        levels = self.levels
-        while m:
-            low = m & -m
-            best_here = levels[low.bit_length() - 1]
-            if best_here > best:
-                best = best_here
-                if best == self.top:
-                    break
-            m ^= low
-        self._poss_cache[mask] = best
-        return best
+        """Max level over a world bitmask; 0 for the empty mask.
+
+        That is the level of the highest band the mask meets.
+        """
+        for level, band in self._bands:
+            if band & mask:
+                return level
+        return 0
 
     def is_total_order(self) -> bool:
         """True when no two worlds share a level."""

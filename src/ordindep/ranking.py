@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .logic import And, Formula, Not, Or, Vocabulary, model_mask
+from .logic import And, Formula, Not, Or, Vocabulary, mask_worlds, model_mask
 from .measures import Dist, TriState, cond_nec, entails, nec
 
 
@@ -88,7 +88,7 @@ def tolerates(others: tuple[Rule, ...], rule: Rule, vocab: Vocabulary) -> bool:
     for other in others:
         if not mask:
             return False
-        mask &= model_mask(other.material(), n)
+        mask &= ~_viol_mask(other, n)
     return mask != 0
 
 
@@ -145,26 +145,21 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
     n = vocab.n
     m = len(strata)
 
-    stratum_of = {}
+    priorities = [0] * len(base.rules)
+    levels = [m] * vocab.world_count
     for s, members in enumerate(strata):
+        violated = 0
         for i in members:
-            stratum_of[i] = s
-    priorities = tuple(stratum_of[i] + 1 for i in range(len(base.rules)))
-
-    viol_masks = [_viol_mask(r, n) for r in base.rules]
-    levels = []
-    for w in range(vocab.world_count):
-        worst = -1
-        for i, vm in enumerate(viol_masks):
-            if (vm >> w) & 1 and stratum_of[i] > worst:
-                worst = stratum_of[i]
-        levels.append(m if worst < 0 else m - 1 - worst)
+            priorities[i] = s + 1
+            violated |= _viol_mask(base.rules[i], n)
+        for w in mask_worlds(violated):  # later strata overwrite earlier ones
+            levels[w] = m - 1 - s
     pi_star = Dist(vocab, m, tuple(levels))
 
     for i, rule in enumerate(base.rules):
-        if pi_star.poss_mask(_verif_mask(rule, n)) <= pi_star.poss_mask(viol_masks[i]):
+        if pi_star.poss_mask(_verif_mask(rule, n)) <= pi_star.poss_mask(_viol_mask(rule, n)):
             raise RuntimeError(f"ranking failed to accept rule {i}; stratification is broken")
-    return StratifiedRanking(vocab, base.rules, strata, pi_star, priorities)
+    return StratifiedRanking(vocab, base.rules, strata, pi_star, tuple(priorities))
 
 
 def priority_necessities(ranking: StratifiedRanking) -> tuple[int, ...]:

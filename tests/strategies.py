@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 from hypothesis import strategies as st
 
 from ordindep import FALSE, TRUE, And, Atom, Dist, Not, Or, Vocabulary
+from ordindep.ranking import Rule, RuleBase
 
 ATOM_POOL = ("a", "b", "c", "d")
 
@@ -49,3 +52,16 @@ def dist_with_formulas(draw, count: int = 2, max_atoms: int = 3, max_top: int = 
     d = draw(dists(vocab, max_top=max_top))
     fs = tuple(draw(formulas(vocab)) for _ in range(count))
     return (d, *fs)
+
+
+@st.composite
+def rule_bases(draw, min_atoms: int = 2, max_atoms: int = 3, max_rules: int = 6) -> RuleBase:
+    """Default-rule bases: each side is a conjunction of literals (an
+    antecedent may be empty, i.e. true) or an arbitrary small formula."""
+    vocab = draw(vocabs(min_atoms=min_atoms, max_atoms=max_atoms))
+    atoms = st.integers(0, vocab.n - 1).map(Atom)
+    literals = atoms | atoms.map(Not)
+    conjunctions = st.lists(literals, max_size=vocab.n).map(lambda ls: reduce(And, ls) if ls else TRUE)
+    small = formulas(vocab, max_depth=2)
+    count = draw(st.integers(1, max_rules))
+    return RuleBase(vocab, tuple(Rule(draw(conjunctions | small), draw(literals | small)) for _ in range(count)))

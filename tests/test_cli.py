@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,11 @@ class TestCheck:
         assert rc == 2
         assert "exceeds budget" in capsys.readouterr().err
 
+    def test_zero_budget(self, capsys):
+        rc = main(["check", "--atoms", "1", "--top", "1", "--budget", "0"])
+        assert rc == 2
+        assert "exceeds budget 0" in capsys.readouterr().err
+
 
 class TestTable:
     def test_tiny_grid(self, capsys):
@@ -212,3 +220,36 @@ class TestErrorPaths:
         rc = main(["query", str(data_dir / "penguin.kb"), "-e", "zz", "-c", "b"])
         assert rc == 2
         assert "parse error" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on the sources in this checkout, from its root."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+
+
+NO_NUMPY = """
+import sys
+import ordindep
+from ordindep import cli
+for argv in (["rank", "data/penguin.kb"], ["query", "data/penguin.kb", "-e", "p", "-c", "b"],
+             ["dist", "data/penguin.kb"], ["indep", "data/sample.dist", "-a", "a", "-c", "c"]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+assert ordindep.run_catalog is not None and "numpy" in sys.modules
+"""
+
+
+def test_rank_query_dist_indep_leave_numpy_unloaded():
+    proc = _python("-c", NO_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_penguin_walkthrough_runs():
+    proc = _python("scripts/penguin_walkthrough.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -66,6 +66,17 @@ TABLE_2_3 = {
 }
 
 
+def test_package_resolves_lawlab_names_lazily():
+    import ordindep
+    from ordindep import lawlab
+
+    for name in ordindep._LAWLAB_NAMES:
+        assert getattr(ordindep, name) is getattr(lawlab, name)
+    assert set(ordindep._LAWLAB_NAMES) <= set(ordindep.__all__)
+    assert not hasattr(ordindep, "no_such_name")
+    assert issubclass(BudgetError, ValueError)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "n,top,expected",

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ordindep import (
     FALSE,
@@ -17,7 +18,7 @@ from ordindep import (
     models,
     parse_formula,
 )
-from ordindep.logic import MAX_ATOMS, evaluate
+from ordindep.logic import MAX_ATOMS, _atom_pattern, evaluate, mask_worlds
 
 from strategies import formulas, vocabs
 
@@ -94,6 +95,16 @@ class TestMasks:
         assert models(And(A, B), AB) == (3,)
         assert models(Or(A, Not(A)), AB) == (0, 1, 2, 3)
         assert models(FALSE, AB) == ()
+
+    def test_atom_stripes_match_brute_force(self):
+        for n in range(1, 13):
+            for i in range(n):
+                stripe = sum(1 << w for w in range(1 << n) if (w >> i) & 1)
+                assert _atom_pattern(i, n) == stripe, (i, n)
+
+    @given(st.integers(0, 1 << 70))
+    def test_mask_worlds(self, mask):
+        assert mask_worlds(mask) == [w for w in range(mask.bit_length()) if (mask >> w) & 1]
 
     def test_atom_out_of_vocab(self):
         with pytest.raises(ValueError):

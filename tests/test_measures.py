@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -11,15 +13,17 @@ from ordindep import (
     Or,
     TriState,
     Vocabulary,
+    compute_pi_star,
     cond_nec,
     cond_poss,
     entails,
     nec,
+    parse_kb,
     poss,
     qpo_geq,
 )
 
-from strategies import dist_with_formulas
+from strategies import dist_with_formulas, dists, vocabs
 
 AC = Vocabulary(("a", "c"))
 A, C = Atom(0), Atom(1)
@@ -52,6 +56,49 @@ class TestDistValidation:
         assert not WORKED.is_total_order()
         four = Dist(AC, 3, (0, 1, 2, 3))
         assert four.is_total_order()
+
+
+def _oracle_poss(levels, worlds) -> int:
+    return max((levels[w] for w in worlds), default=0)
+
+
+def _chain_base(n: int) -> str:
+    """Penguin-shaped chain: x_i |~ x_{i+1}, x_i & x_{i+1} |~ +-x_{i+2}."""
+    xs = [f"x{i}" for i in range(n)]
+    lines = [f"atoms: {' '.join(xs)}"]
+    lines += [f"rule: {xs[i]} |~ {xs[i + 1]}" for i in range(n - 1)]
+    lines += [f"rule: {xs[i]} & {xs[i + 1]} |~ {'!' * (i % 2)}{xs[i + 2]}" for i in range(n - 2)]
+    return "\n".join(lines) + "\n"
+
+
+class TestPossibilityOracle:
+    """poss_mask reads the level bands; the oracle reads the levels."""
+
+    @given(vocabs(max_atoms=3).flatmap(lambda v: dists(v, max_top=4)))
+    def test_every_mask(self, d):
+        for mask in range(1 << d.vocab.world_count):
+            worlds = [w for w in range(d.vocab.world_count) if (mask >> w) & 1]
+            assert d.poss_mask(mask) == _oracle_poss(d.levels, worlds), mask
+
+    def test_seeded_masks_on_14_atom_pi_star(self):
+        d = compute_pi_star(parse_kb(_chain_base(14)).base()).pi_star
+        count = d.vocab.world_count
+        below_top = [w for w, lv in enumerate(d.levels) if lv < d.top]
+        assert len(set(d.levels)) > 2 and below_top
+        rng = random.Random(14)
+        for k in range(200):
+            pool = below_top if k % 2 else range(count)
+            worlds = rng.sample(pool, min(len(pool), int(2 ** rng.uniform(0, 14)) - 1))
+            mask = sum(1 << w for w in worlds)
+            assert d.poss_mask(mask) == _oracle_poss(d.levels, worlds), k
+
+    def test_equality_and_hash_ignore_bands(self):
+        twin = Dist(AC, 3, (1, 1, 2, 3))
+        object.__setattr__(twin, "_bands", ())
+        assert twin == WORKED
+        assert hash(twin) == hash(WORKED)
+        assert "_bands" not in repr(WORKED)
+        assert Dist(AC, 3, (1, 2, 1, 3)) != WORKED
 
 
 class TestUnconditionalMeasures:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, target
 
 from ordindep import (
     TRUE,
@@ -15,6 +15,7 @@ from ordindep import (
     check_rational_monotony,
     compute_pi_star,
     cond_weak_indep,
+    models,
     parse_formula,
     parse_kb,
     priority_necessities,
@@ -24,7 +25,7 @@ from ordindep import (
 from ordindep.ranking import Rule, RuleBase, RuleOrigin, inject_independence, tolerates
 
 from checks import constraints_satisfied, raisable_worlds
-from strategies import dist_with_formulas
+from strategies import dist_with_formulas, rule_bases
 
 
 def load(data_dir, name, injected=False):
@@ -162,6 +163,55 @@ class TestPiStar:
                 if constraints_satisfied(d, ranking.rules):
                     best = [max(b, lv) for b, lv in zip(best, levels)]
             assert tuple(best) == ranking.pi_star.levels
+
+
+def _ranking_or_none(kb):
+    try:
+        return compute_pi_star(kb)
+    except ConsistencyError:
+        return None
+
+
+def _accepting_levels(vocab, rules, top):
+    """Every normalized level tuple at this top that accepts every rule."""
+    cells = [
+        (models(And(r.antecedent, r.consequent), vocab), models(And(r.antecedent, Not(r.consequent)), vocab))
+        for r in rules
+    ]
+    for levels in itertools.product(range(top + 1), repeat=vocab.world_count):
+        if top in levels and all(
+            max((levels[w] for w in keep), default=0) > max((levels[w] for w in drop), default=0)
+            for keep, drop in cells
+        ):
+            yield levels
+
+
+PENGUIN_3 = "atoms: p b f\nrule: b |~ f\nrule: p |~ b\nrule: p |~ !f\n"
+THREE_STRATA = "atoms: a b c\nrule: true |~ !a\nrule: a |~ !b\nrule: a & b |~ !c\n"
+
+
+class TestPiStarDifferential:
+    """pi* against brute force over every distribution of small bases."""
+
+    @given(rule_bases())
+    @example(parse_kb(PENGUIN_3).base())
+    @example(parse_kb(THREE_STRATA).base())
+    def test_pointwise_max_over_every_feasible_dist(self, kb):
+        ranking = _ranking_or_none(kb)
+        assume(ranking is not None)
+        top = ranking.pi_star.top
+        assume((top + 1) ** kb.vocab.world_count <= 200_000)
+        target(float(top))
+        best = [0] * kb.vocab.world_count
+        for levels in _accepting_levels(kb.vocab, ranking.rules, top):
+            best = [max(b, lv) for b, lv in zip(best, levels)]
+        assert tuple(best) == ranking.pi_star.levels
+
+    @given(rule_bases(max_atoms=2))
+    @example(parse_kb("atoms: a b\nrule: a |~ b\nrule: a |~ !b\n").base())
+    def test_inconsistent_base_has_no_model(self, kb):
+        assume(_ranking_or_none(kb) is None)
+        assert next(_accepting_levels(kb.vocab, kb.rules, len(kb.rules)), None) is None
 
 
 class TestQueries:
