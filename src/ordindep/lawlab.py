@@ -879,9 +879,15 @@ class ProbeReport:
     unrealized: tuple[int, ...]
 
 
-def _realized_relations(n: int, tops=(1, 2, 3)) -> set[int]:
+# the probes realize relations at these scales, and a sampled mutation
+# flips between one and PROBE_FLIPS pair bits
+PROBE_TOPS = (1, 2, 3)
+PROBE_FLIPS = 3
+
+
+def _realized_relations(n: int) -> set[int]:
     seen = set()
-    for top in tops:
+    for top in PROBE_TOPS:
         for d in enumerate_dists(n, top):
             seen.add(realized_relation(d))
     return seen
@@ -896,7 +902,7 @@ def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> 
     return ProbeReport(n, len(candidates), len(admitted), len(admitted) - len(unrealized), unrealized)
 
 
-def completeness_probe_exact(tops=(1, 2, 3), mode: str = "printed") -> ProbeReport:
+def completeness_probe_exact(mode: str = "printed") -> ProbeReport:
     """Single-atom case: every abstract relation, checked outright.
 
     With one atom there are 4 events and 16 pairs; the axiom-forced pair
@@ -916,23 +922,21 @@ def completeness_probe_exact(tops=(1, 2, 3), mode: str = "printed") -> ProbeRepo
         base + sum(bit for take, bit in zip(picks, free) if take)
         for picks in itertools.product((0, 1), repeat=len(free))
     )
-    return _score(n, candidates, _realized_relations(n, tops), mode)
+    return _score(n, candidates, _realized_relations(n), mode)
 
 
-def completeness_probe_sampled(
-    samples: int = 500, flips: int = 3, seed: int = 0, tops=(1, 2, 3), mode: str = "printed"
-) -> ProbeReport:
+def completeness_probe_sampled(samples: int = 500, seed: int = 0, mode: str = "printed") -> ProbeReport:
     """Two-atom case: 2**256 candidate relations rule out enumeration, so
     mutate realized relations pairwise and keep the axiom-satisfying ones."""
     n = 2
     pair_count = (1 << (1 << n)) ** 2
-    realized = _realized_relations(n, tops)
+    realized = _realized_relations(n)
     rng = random.Random(seed)
     pool = sorted(realized)
     draws = []
     for _ in range(samples):
         bits = rng.choice(pool)
-        for _ in range(rng.randint(1, flips)):
+        for _ in range(rng.randint(1, PROBE_FLIPS)):
             bits ^= 1 << rng.randrange(pair_count)
         draws.append(bits)
     return _score(n, dict.fromkeys(draws), realized, mode)

@@ -69,9 +69,14 @@ class Vocabulary:
 
 
 class Formula:
-    """Base class; subclasses are immutable after __init__.
+    """Base class of the formula nodes.
 
-    Equality and hashing are structural, so formulas can key memo tables.
+    A node class declares its parts in ``__slots__`` and its constructor
+    writes them, a ``_hash`` built from the children's hashes and an empty
+    ``_masks`` memo. Immutability, structural equality (same class, equal
+    parts), hashing and ``repr`` (the constructor call, so ``repr(TRUE)``
+    is ``TrueFormula()``) follow from those slots; formulas can key memo
+    tables.
     """
 
     __slots__ = ("_hash", "_masks")
@@ -85,21 +90,30 @@ class Formula:
     def __invert__(self) -> "Formula":
         return Not(self)
 
-    def _key(self):
-        raise NotImplementedError
-
     def _compute_mask(self, n: int) -> int:
         raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError("formulas are immutable")
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Formula):
             return NotImplemented
-        return self._key() == other._key()
+        if type(self) is not type(other):
+            return False
+        for name in self.__slots__:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        parts = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({parts})"
 
 
 class TrueFormula(Formula):
@@ -109,17 +123,8 @@ class TrueFormula(Formula):
         object.__setattr__(self, "_hash", hash(("true",)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("true",)
-
     def _compute_mask(self, n: int) -> int:
         return (1 << (1 << n)) - 1
-
-    def __repr__(self):
-        return "TRUE"
 
 
 class FalseFormula(Formula):
@@ -129,17 +134,8 @@ class FalseFormula(Formula):
         object.__setattr__(self, "_hash", hash(("false",)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("false",)
-
     def _compute_mask(self, n: int) -> int:
         return 0
-
-    def __repr__(self):
-        return "FALSE"
 
 
 TRUE = TrueFormula()
@@ -164,19 +160,10 @@ class Atom(Formula):
         object.__setattr__(self, "_hash", hash(("atom", index)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("atom", self.index)
-
     def _compute_mask(self, n: int) -> int:
         if self.index >= n:
             raise ValueError(f"atom index {self.index} out of range for {n} atoms")
         return _atom_pattern(self.index, n)
-
-    def __repr__(self):
-        return f"Atom({self.index})"
 
 
 class Not(Formula):
@@ -187,18 +174,9 @@ class Not(Formula):
         object.__setattr__(self, "_hash", hash(("not", child._hash)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("not", self.child._key())
-
     def _compute_mask(self, n: int) -> int:
         full = (1 << (1 << n)) - 1
         return full ^ model_mask(self.child, n)
-
-    def __repr__(self):
-        return f"Not({self.child!r})"
 
 
 class And(Formula):
@@ -210,17 +188,8 @@ class And(Formula):
         object.__setattr__(self, "_hash", hash(("and", left._hash, right._hash)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("and", self.left._key(), self.right._key())
-
     def _compute_mask(self, n: int) -> int:
         return model_mask(self.left, n) & model_mask(self.right, n)
-
-    def __repr__(self):
-        return f"And({self.left!r}, {self.right!r})"
 
 
 class Or(Formula):
@@ -232,17 +201,8 @@ class Or(Formula):
         object.__setattr__(self, "_hash", hash(("or", left._hash, right._hash)))
         object.__setattr__(self, "_masks", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def _key(self):
-        return ("or", self.left._key(), self.right._key())
-
     def _compute_mask(self, n: int) -> int:
         return model_mask(self.left, n) | model_mask(self.right, n)
-
-    def __repr__(self):
-        return f"Or({self.left!r}, {self.right!r})"
 
 
 def model_mask(formula: Formula, n: int) -> int:

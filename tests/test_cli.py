@@ -253,3 +253,11 @@ def test_penguin_walkthrough_runs():
     proc = _python("scripts/penguin_walkthrough.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_axiom_probe_runs():
+    proc = _python("scripts/axiom_probe.py")
+    assert proc.returncode == 0, proc.stderr
+    # the one-atom counts that tests/test_lawlab.py pins
+    assert "printed: 256 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
+    assert "schema: 64 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout

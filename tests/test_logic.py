@@ -18,6 +18,7 @@ from ordindep import (
     models,
     parse_formula,
 )
+from ordindep import logic
 from ordindep.logic import MAX_ATOMS, _atom_pattern, evaluate, mask_worlds
 
 from strategies import formulas, vocabs
@@ -137,10 +138,27 @@ class TestFormulaStructure:
         assert TRUE == TRUE
         assert FALSE != TRUE
 
+    def test_different_node_types_with_equal_parts_differ(self):
+        assert And(A, B) != Or(A, B)
+        assert Not(A) != A
+        assert And(A, B) != (A, B)
+
+    @given(formulas(Vocabulary(("a", "b", "c"))))
+    def test_repr_round_trip(self, formula):
+        rebuilt = eval(repr(formula), vars(logic))
+        assert rebuilt == formula
+        assert hash(rebuilt) == hash(formula)
+
+    def test_constant_reprs(self):
+        assert repr(TRUE) == "TrueFormula()"
+        assert repr(FALSE) == "FalseFormula()"
+        assert repr(And(A, Not(B))) == "And(Atom(0), Not(Atom(1)))"
+
     def test_immutability(self):
         for f in (A, Not(A), And(A, B), Or(A, B), TRUE, FALSE):
-            with pytest.raises(AttributeError):
-                f.index = 3
+            for name in ("left", "right", "child", "index", "_hash", "_masks"):
+                with pytest.raises(AttributeError):
+                    setattr(f, name, 3)
 
     def test_operator_sugar(self):
         assert (A & B) == And(A, B)
