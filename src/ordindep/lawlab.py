@@ -108,33 +108,30 @@ def generator_formulas(vocab: Vocabulary) -> tuple[Formula, ...]:
 
 
 class DistEnsemble:
-    """All enumerated distributions for one (n, top), as a level matrix."""
+    """All enumerated distributions for one (n, top), as a level matrix
+    plus the event table ``P[event, dist]``: the possibility of every one
+    of the 2^(2^n) world sets in every distribution."""
 
     def __init__(self, n: int, top: int, budget: int = DEFAULT_BUDGET):
         self.vocab = lab_vocabulary(n)
         self.top = top
-        self._dists = tuple(enumerate_dists(n, top, budget))
-        self.levels = np.array([d.levels for d in self._dists], dtype=np.int16)
-        self._poss_cache: dict[int, np.ndarray] = {}
+        self.levels = np.array([d.levels for d in enumerate_dists(n, top, budget)], dtype=np.int16)
+        # events 2^w .. 2^(w+1)-1 are the events below 2^w with world w
+        # added: each row is the smaller event's row maxed with w's column
+        self.P = np.zeros((1 << self.vocab.world_count, self.count), dtype=np.int16)
+        for w in range(self.vocab.world_count):
+            self.P[1 << w : 2 << w] = np.maximum(self.P[: 1 << w], self.levels[:, w])
 
     @property
     def count(self) -> int:
-        return len(self._dists)
+        return len(self.levels)
 
     def dist_at(self, i: int) -> Dist:
-        return self._dists[i]
+        return Dist(self.vocab, self.top, tuple(self.levels[i].tolist()))
 
     def poss_mask(self, mask: int) -> np.ndarray:
-        """Column-wise max over the worlds in the mask, one entry per dist."""
-        vec = self._poss_cache.get(mask)
-        if vec is None:
-            if mask == 0:
-                vec = np.zeros(self.count, dtype=np.int16)
-            else:
-                cols = [w for w in range(self.vocab.world_count) if (mask >> w) & 1]
-                vec = self.levels[:, cols].max(axis=1)
-            self._poss_cache[mask] = vec
-        return vec
+        """The mask's row of P: its possibility in every distribution."""
+        return self.P[mask]
 
 
 class ScalarOps:
@@ -758,12 +755,12 @@ def check_law(
     ops = ScalarOps(ensemble)
     done = 0
     for combo in itertools.product(gens, repeat=law.arity):
-        vec = np.broadcast_to(np.asarray(law.predicate(ops, *combo), dtype=bool), (ensemble.count,))
+        row = law.predicate(ops, *combo)
         done += ensemble.count
-        if not vec.all():
-            i = int(np.argmin(vec))
+        if not np.all(row):
+            i = int(np.argmin(row))
             dist = ensemble.dist_at(i)
-            if bool(np.asarray(law.predicate(ScalarOps(dist), *combo)).all()):
+            if np.all(law.predicate(ScalarOps(dist), *combo)):
                 raise RuntimeError(
                     f"backend disagreement on law {law.law_id}: vector run failed, scalar run passed"
                 )

@@ -15,6 +15,7 @@ is the last atom) or a pattern of literals naming every atom once, like
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Vocabulary, format_formula, iff, implies
@@ -83,10 +84,23 @@ MAX_FORMULA_DEPTH = 100
 MAX_FORMULA_SIZE = 10_000
 
 
+# Binary operators, loosest first.  Each row is: precedence, constructor,
+# the height the built tree adds over its left and its right operand, and
+# its node count as base + mult * (left size + right size); `<->` and `->`
+# expand into And/Or/Not trees, so their rows count those nodes.
+_BINARY = {
+    "iff": (1, iff, 3, 3, 5, 2),
+    "implies": (2, implies, 2, 1, 2, 1),
+    "or": (3, Or, 1, 1, 1, 1),
+    "and": (4, And, 1, 1, 1, 1),
+}
+
+
 class _FormulaParser:
-    """Recursive descent.  After each parse_* call, ``height`` and ``size``
-    hold the height and node count of the formula it returned: 0 and 1 for
-    an atom or a constant."""
+    """Precedence climbing over ``_BINARY``, recursive descent for `!` and
+    parentheses.  After each parse_* call, ``height`` and ``size`` hold the
+    height and node count of the formula it returned: 0 and 1 for an atom
+    or a constant."""
 
     def __init__(self, tokens: list[_Token], vocab: Vocabulary, line: int, end_column: int):
         self.tokens = tokens
@@ -130,49 +144,33 @@ class _FormulaParser:
         self.size = size
 
     def parse(self) -> Formula:
-        f = self.parse_iff()
+        f = self.parse_binary(1)
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.column)
         return f
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        while (tok := self.peek()) is not None and tok.kind == "iff":
-            self.take()
-            h, n = self.height, self.size
-            left = iff(left, self.parse_implies())
-            self.grow(max(h, self.height) + 3, 5 + 2 * (n + self.size), tok)
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if (tok := self.peek()) is not None and tok.kind == "implies":
-            self.take()
-            h, n = self.height, self.size
-            self.descend(tok)
-            right = self.parse_implies()
-            self.nesting -= 1
-            self.grow(max(h + 2, self.height + 1), n + self.size + 2, tok)
-            return implies(left, right)
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while (tok := self.peek()) is not None and tok.kind == "or":
-            self.take()
-            h, n = self.height, self.size
-            left = Or(left, self.parse_and())
-            self.grow(max(h, self.height) + 1, n + self.size + 1, tok)
-        return left
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, min_prec: int) -> Formula:
+        """An operand, then every operator binding at least as tightly as
+        min_prec: tighter operators on the right are folded in first."""
         left = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.kind == "and":
+        while (tok := self.peek()) is not None and tok.kind in _BINARY:
+            prec, build, left_height, right_height, base, mult = _BINARY[tok.kind]
+            if prec < min_prec:
+                break
             self.take()
             h, n = self.height, self.size
-            left = And(left, self.parse_unary())
-            self.grow(max(h, self.height) + 1, n + self.size + 1, tok)
+            if tok.kind == "implies":
+                # right associative: the right operand takes further `->`s
+                self.descend(tok)
+                right = self.parse_binary(prec)
+                self.nesting -= 1
+            else:
+                right = self.parse_binary(prec + 1)
+            self.grow(
+                max(h + left_height, self.height + right_height), base + mult * (n + self.size), tok
+            )
+            left = build(left, right)
         return left
 
     def parse_unary(self) -> Formula:
@@ -185,7 +183,7 @@ class _FormulaParser:
             return Not(child)
         if tok.kind == "lparen":
             self.descend(tok)
-            inner = self.parse_iff()
+            inner = self.parse_binary(1)
             self.nesting -= 1
             closing = self.take()
             if closing.kind != "rparen":
@@ -231,14 +229,12 @@ class IndepDirective:
     conclusion: Formula
     extra: Formula
     context: Formula
-    line: int
 
 
 @dataclass(frozen=True)
 class ParsedDocument:
     vocab: Vocabulary
     rules: tuple[Rule, ...]
-    rule_lines: tuple[int, ...]
     directives: tuple[IndepDirective, ...]
 
     def base(self) -> RuleBase:
@@ -252,15 +248,19 @@ class ParsedDocument:
         return kb
 
 
-def _split_directive(line_text: str, line: int) -> tuple[str, str, int]:
-    head, sep, rest = line_text.partition(":")
-    if not sep:
-        raise ParseError(f"expected ':' in {line_text.strip()!r}", line, 1)
-    return head.strip(), rest, len(head) + len(sep)
-
-
-def _strip_comment(raw: str) -> str:
-    return raw.split("#", 1)[0]
+def _directives(text: str) -> Iterator[tuple[int, str, str, int]]:
+    """``(line, head, rest, rest_offset)`` for each line of a `.kb` or
+    `.dist` file that is not blank once its `#` comment is cut off: head is
+    the stripped text before the first `:`, rest the text after it, which
+    starts at column rest_offset + 1."""
+    for line, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0]
+        if not stripped.strip():
+            continue
+        head, sep, rest = stripped.partition(":")
+        if not sep:
+            raise ParseError(f"expected ':' in {stripped.strip()!r}", line, 1)
+        yield line, head.strip(), rest, len(head) + len(sep)
 
 
 def _parse_atoms(rest: str, vocab: Vocabulary | None, line: int, rest_offset: int) -> Vocabulary:
@@ -280,13 +280,8 @@ def _parse_atoms(rest: str, vocab: Vocabulary | None, line: int, rest_offset: in
 def parse_kb(text: str) -> ParsedDocument:
     vocab: Vocabulary | None = None
     rules: list[Rule] = []
-    rule_lines: list[int] = []
     directives: list[IndepDirective] = []
-    for line, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
-        head, rest, rest_offset = _split_directive(stripped, line)
+    for line, head, rest, rest_offset in _directives(text):
         if head == "atoms":
             vocab = _parse_atoms(rest, vocab, line, rest_offset)
         elif head == "rule":
@@ -305,7 +300,6 @@ def parse_kb(text: str) -> ParsedDocument:
                 rest_offset + split_at + len(RULE_SEPARATOR),
             )
             rules.append(Rule(antecedent, consequent))
-            rule_lines.append(line)
         elif head == "indep":
             if vocab is None:
                 raise ParseError("indep appears before the atoms line", line, 1)
@@ -325,14 +319,14 @@ def parse_kb(text: str) -> ParsedDocument:
                 rest[wrt_m.end() : given_m.start()], vocab, line, rest_offset + wrt_m.end()
             )
             context = parse_formula(rest[given_m.end() :], vocab, line, rest_offset + given_m.end())
-            directives.append(IndepDirective(conclusion, extra, context, line))
+            directives.append(IndepDirective(conclusion, extra, context))
         else:
             raise ParseError(f"unknown directive: {head!r}", line, 1)
     if vocab is None:
         raise ParseError("missing atoms line", 0, 0)
     if not rules:
         raise ParseError("the file declares no rules", 0, 0)
-    return ParsedDocument(vocab, tuple(rules), tuple(rule_lines), tuple(directives))
+    return ParsedDocument(vocab, tuple(rules), tuple(directives))
 
 
 def format_rule(rule: Rule, vocab: Vocabulary) -> str:
@@ -378,11 +372,7 @@ def parse_dist(text: str) -> Dist:
     top: int | None = None
     top_line = 0
     levels: dict[int, int] = {}
-    for line, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
-        head, rest, rest_offset = _split_directive(stripped, line)
+    for line, head, rest, rest_offset in _directives(text):
         if head == "atoms":
             vocab = _parse_atoms(rest, vocab, line, rest_offset)
         elif head == "top":
@@ -402,7 +392,7 @@ def parse_dist(text: str) -> Dist:
                 raise ParseError("world line appears before the top line", line, 1)
             world = _world_from_key(head, vocab, line)
             if world in levels:
-                raise ParseError(f"duplicate world {head.strip()!r}", line, 1)
+                raise ParseError(f"duplicate world {head!r}", line, 1)
             try:
                 level = int(rest.strip())
             except ValueError:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from functools import reduce
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from ordindep import FALSE, TRUE, And, Atom, Dist, Not, Or, Vocabulary
+from ordindep import FALSE, TRUE, And, Atom, Dist, Not, Or, TriState, Vocabulary, entails
 from ordindep.ranking import Rule, RuleBase
 
 ATOM_POOL = ("a", "b", "c", "d")
@@ -65,3 +66,23 @@ def rule_bases(draw, min_atoms: int = 2, max_atoms: int = 3, max_rules: int = 6)
     small = formulas(vocab, max_depth=2)
     count = draw(st.integers(1, max_rules))
     return RuleBase(vocab, tuple(Rule(draw(conjunctions | small), draw(literals | small)) for _ in range(count)))
+
+
+@st.composite
+def consistent_rule_bases(draw, min_atoms: int = 2, max_atoms: int = 3, max_rules: int = 6) -> RuleBase:
+    """A rule_bases draw made consistent by a drawn distribution: it keeps
+    each rule the distribution accepts, flips the consequent of each rule
+    it rejects and drops the rules it ignores, so it accepts every rule
+    left.  A consistent base comes out unchanged when the distribution is
+    its own pi* (whose top is at most the rule count)."""
+    kb = draw(rule_bases(min_atoms, max_atoms, max_rules))
+    d = draw(dists(kb.vocab, max_top=len(kb.rules)))
+    rules = []
+    for r in kb.rules:
+        verdict = entails(d, r.antecedent, r.consequent)
+        if verdict is TriState.ACCEPTED:
+            rules.append(r)
+        elif verdict is TriState.REJECTED:
+            rules.append(Rule(r.antecedent, Not(r.consequent)))
+    assume(rules)
+    return RuleBase(kb.vocab, tuple(rules))

@@ -11,6 +11,7 @@ from ordindep import (
     Not,
     Or,
     BudgetError,
+    Dist,
     Vocabulary,
     check_law,
     completeness_probe_exact,
@@ -31,6 +32,7 @@ from ordindep.lawlab import (
     CRITERIA,
     RELATIONS,
     DistEnsemble,
+    Law,
     ScalarOps,
     _realized_relations,
     law_cost,
@@ -163,6 +165,13 @@ class TestBackendAgreement:
                     assert type(got) is want_type, (name, combo, type(got))
                     assert got == row[i], (name, combo, i)
 
+    def test_event_table_is_every_mask_of_every_dist(self):
+        ens = DistEnsemble(2, 3)
+        dists = list(enumerate_dists(2, 3))
+        assert [ens.dist_at(i) for i in range(ens.count)] == dists
+        for mask in range(1 << 4):
+            assert ens.poss_mask(mask).tolist() == [d.poss_mask(mask) for d in dists], mask
+
     def test_classify_fields_are_plain(self):
         forms = generator_formulas(lab_vocabulary(2))
         for d in enumerate_dists(2, 2):
@@ -201,6 +210,12 @@ class TestCheckLaw:
     def test_budget_gate(self):
         with pytest.raises(BudgetError):
             check_law(law_by_id("strong-symmetric"), 2, 3, budget=10)
+
+    def test_backend_disagreement_raises(self):
+        # false on the ensemble, true on every single Dist
+        law = Law("single-dist-only", 1, "", lambda o, x: isinstance(o.dist, Dist))
+        with pytest.raises(RuntimeError, match="backend disagreement on law single-dist-only"):
+            check_law(law, 1, 1)
 
     def test_law_by_id_unknown(self):
         with pytest.raises(KeyError):

@@ -1,7 +1,12 @@
+from functools import reduce
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ordindep import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Dist,
@@ -19,7 +24,7 @@ from ordindep import (
     parse_kb,
 )
 from ordindep.logic import model_mask
-from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE
+from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, _FormulaParser, _tokenize
 from ordindep.ranking import Rule, RuleOrigin
 
 from strategies import dists
@@ -163,6 +168,79 @@ class TestSizeLimit:
         assert str(ei.value) == f"line 2, column {column}: formula expands to more than 10000 nodes"
 
 
+def _height(f) -> int:
+    if isinstance(f, Not):
+        return 1 + _height(f.child)
+    if isinstance(f, (And, Or)):
+        return 1 + max(_height(f.left), _height(f.right))
+    return 0
+
+
+# Syntax trees as tuples: (name,) for an atom or a constant, ("!", child),
+# or (op, left, right).  Precedences as the parsing module documents them,
+# loosest first; `->` is right associative, the other operators left.
+_PREC = {"<->": 1, "->": 2, "|": 3, "&": 4}
+_UNARY_PREC = 5
+_BUILD = {"<->": iff, "->": implies, "|": Or, "&": And}
+ABC = Vocabulary(("a", "b", "c"))
+
+
+@st.composite
+def _syntax_trees(draw, depth: int = 5):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return (draw(st.sampled_from(["a", "b", "c", "true", "false", "TRUE"])),)
+    op = draw(st.sampled_from(["!", *_PREC]))
+    kids = 1 if op == "!" else 2
+    return (op, *(draw(_syntax_trees(depth - 1)) for _ in range(kids)))
+
+
+def _print(tree, context_prec: int = 0) -> str:
+    """Concrete syntax with only the parentheses the precedences need."""
+    if len(tree) == 1:
+        return tree[0]
+    if tree[0] == "!":
+        return "!" + _print(tree[1], _UNARY_PREC)
+    op, left, right = tree
+    prec = _PREC[op]
+    left_prec, right_prec = (prec + 1, prec) if op == "->" else (prec, prec + 1)
+    text = f"{_print(left, left_prec)} {op} {_print(right, right_prec)}"
+    return f"({text})" if prec < context_prec else text
+
+
+def _build(tree):
+    if len(tree) == 1:
+        constants = {"true": TRUE, "false": FALSE}
+        name = tree[0].lower()
+        return constants[name] if name in constants else Atom(ABC.index(name))
+    if tree[0] == "!":
+        return Not(_build(tree[1]))
+    return _BUILD[tree[0]](_build(tree[1]), _build(tree[2]))
+
+
+class TestGrammarDifferential:
+    """The parser against a reference printer and a plain tree walk."""
+
+    @given(_syntax_trees())
+    @example(("->", ("->", ("a",), ("b",)), ("->", ("b",), ("c",))))
+    @example(("&", ("a",), ("|", ("b",), ("<->", ("c",), ("a",)))))
+    @example(("|", ("a",), ("&", ("b",), ("!", ("c",)))))
+    @example(("<->", ("<->", ("a",), ("b",)), ("!", ("->", ("a",), ("b",)))))
+    @example(reduce(lambda t, _: ("<->", t, ("a",)), range(11), ("a",)))
+    @example(reduce(lambda t, _: ("!", t), range(101), ("a",)))
+    def test_tree_height_and_size(self, tree):
+        text = _print(tree)
+        want = _build(tree)
+        height, size = _height(want), _nodes(want)
+        if height > MAX_FORMULA_DEPTH or size > MAX_FORMULA_SIZE:
+            with pytest.raises(ParseError):
+                parse_formula(text, ABC)
+            return
+        assert parse_formula(text, ABC) == want, text
+        parser = _FormulaParser(_tokenize(text, 0, 0), ABC, 0, len(text) + 1)
+        parser.parse()
+        assert (parser.height, parser.size) == (height, size), text
+
+
 class TestKbParsing:
     def test_penguin_corpus(self, data_dir):
         doc = parse_kb((data_dir / "penguin.kb").read_text())
@@ -170,7 +248,6 @@ class TestKbParsing:
         rendered = [format_rule(r, doc.vocab) for r in doc.rules]
         assert rendered == ["p |~ !f", "b |~ f", "p |~ b", "b |~ l"]
         assert doc.directives == ()
-        assert len(doc.rule_lines) == 4
 
     def test_directive_fields(self, data_dir):
         doc = parse_kb((data_dir / "penguin_fixed.kb").read_text())
