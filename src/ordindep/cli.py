@@ -8,9 +8,7 @@ All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .independence import classify, cond_weak_indep
 from .logic import format_formula
@@ -27,7 +25,8 @@ from .ranking import ConsistencyError, RuleOrigin, StratifiedRanking, compute_pi
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_ranking(path: str) -> tuple[ParsedDocument, StratifiedRanking]:
@@ -115,7 +114,8 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET if args.budget is None else args.budget
 
 
-# check and table import the law lab (and numpy) only when they run
+# check and table import the law lab (and numpy) only when they run, and
+# check imports json only for --jsonl
 def _cmd_check(args) -> int:
     from .lawlab import format_counterexample, run_catalog
 
@@ -140,6 +140,8 @@ def _cmd_check(args) -> int:
         )
     print(f"{len(reports) - failures} of {len(reports)} laws hold")
     if args.jsonl:
+        import json
+
         with open(args.jsonl, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -23,14 +23,11 @@ verdicts with ``&``, so it runs unchanged on a ``lawlab.DistEnsemble``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .logic import Formula, Not, Or, model_mask
+from .logic import Formula, Not, Or, Record, model_mask
 from .measures import Dist, _full_mask, cond_nec, nec
 
 
-@dataclass(frozen=True)
-class IndepReport:
+class IndepReport(Record):
     """Relation verdicts plus the four cell possibilities behind them."""
 
     unrelated_z: bool

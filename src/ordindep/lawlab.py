@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -38,6 +37,7 @@ from .logic import (
     Formula,
     Not,
     Or,
+    Record,
     Vocabulary,
     format_formula,
     model_mask,
@@ -184,8 +184,7 @@ def _iff(p, q):
     return np.logical_not(np.logical_xor(np.asarray(p, dtype=bool), np.asarray(q, dtype=bool)))
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     """One universally quantified candidate property.
 
     The predicate takes an ops backend plus `arity` formulas and returns
@@ -198,8 +197,7 @@ class Law:
     predicate: Callable
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     dist: Dist
     formulas: tuple[Formula, ...]
 
@@ -218,8 +216,7 @@ def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
     return f"{pad}formulas: {shown}\n{pad}dist (top {ce.dist.top}): {cells}"
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     law_id: str
     atoms: int
     top: int
@@ -783,8 +780,7 @@ def run_catalog(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[LawRepor
     return _sweep(CATALOG, n, top, budget, "full catalog")
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     criterion: str
     relation: str
     atoms: int
@@ -867,8 +863,7 @@ def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     atoms: int
     candidates: int
     satisfying: int

@@ -9,7 +9,6 @@ on these masks, so formula evaluation happens once per (formula, n) pair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_ATOMS = 16
@@ -19,8 +18,79 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"true", "false", "wrt", "given"})
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Record:
+    """Base class of the package's immutable value records.
+
+    A subclass lists its fields as annotations in its class body, in
+    order, after any fields of the record class it extends; a class
+    attribute with a field's name is that field's default. The
+    annotations are read as names only, never evaluated. A record is
+    built from its fields, positionally or by keyword, and then its
+    ``__post_init__`` runs, which validates and may store derived
+    attributes with ``object.__setattr__``; those are not fields. After
+    that nothing can be assigned or deleted. Two records are equal when
+    they are of the same class with equal fields, a record hashes as the
+    tuple of its fields, and its ``repr`` is ``Cls(field=value, ...)``.
+    Unlike a named tuple, a record is not a tuple: it does not unpack or
+    index, and it never equals a tuple or a record of another class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", ())
+        cls._fields += tuple(name for name in own if name not in cls._fields)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            for name in fields:
+                if name not in values:
+                    if name not in cls._defaults:
+                        raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                    values[name] = cls._defaults[name]
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({parts})"
+
+
+class Vocabulary(Record):
     """Ordered atom names; fixes the world encoding (atom i = bit i)."""
 
     atoms: tuple[str, ...]
@@ -77,6 +147,10 @@ class Formula:
     parts), hashing and ``repr`` (the constructor call, so ``repr(TRUE)``
     is ``TrueFormula()``) follow from those slots; formulas can key memo
     tables.
+
+    Formulas are not ``Record``s: the parser builds nodes for every query
+    and the mask memo hashes them, so a node keeps its parts in slots and
+    its hash is computed once, from its children's, when it is built.
     """
 
     __slots__ = ("_hash", "_masks")

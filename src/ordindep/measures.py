@@ -18,9 +18,8 @@ one level per enumerated distribution as a numpy row.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from .logic import Formula, Vocabulary, model_mask
+from .logic import Formula, Record, Vocabulary, model_mask
 
 
 class TriState(enum.Enum):
@@ -34,8 +33,7 @@ class TriState(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(Record):
     """Normalized possibility distribution over the worlds of a vocabulary.
 
     Besides the level of each world it keeps the level bands: for every
@@ -47,7 +45,6 @@ class Dist:
     vocab: Vocabulary
     top: int
     levels: tuple[int, ...]
-    _bands: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top < 1:

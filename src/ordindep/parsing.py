@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Vocabulary, format_formula, iff, implies
+from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies
 from .measures import Dist
 from .ranking import Rule, RuleBase, inject_independence
 
@@ -51,11 +50,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    column: int
+    __slots__ = ("kind", "text", "column")
+
+    def __init__(self, kind: str, text: str, column: int):
+        self.kind = kind
+        self.text = text
+        self.column = column
 
 
 def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
@@ -222,8 +223,7 @@ def parse_formula(
 # -- rule base files -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndepDirective:
+class IndepDirective(Record):
     """One `indep: <conclusion> wrt <extra> given <context>` line."""
 
     conclusion: Formula
@@ -231,8 +231,7 @@ class IndepDirective:
     context: Formula
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
+class ParsedDocument(Record):
     vocab: Vocabulary
     rules: tuple[Rule, ...]
     directives: tuple[IndepDirective, ...]

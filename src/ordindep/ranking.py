@@ -15,9 +15,8 @@ stratum index plus one, which is reported as the rule's priority.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .logic import And, Formula, Not, Or, Vocabulary, mask_worlds, model_mask
+from .logic import And, Formula, Not, Or, Record, Vocabulary, mask_worlds, model_mask
 from .measures import Dist, TriState, cond_nec, entails, nec
 
 
@@ -26,8 +25,7 @@ class RuleOrigin(enum.Enum):
     INDEPENDENCE = "independence"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Default rule: antecedent normally brings about the consequent."""
 
     antecedent: Formula
@@ -39,8 +37,7 @@ class Rule:
         return Or(Not(self.antecedent), self.consequent)
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(Record):
     vocab: Vocabulary
     rules: tuple[Rule, ...]
 
@@ -108,13 +105,13 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
         tolerated = [i for i in remaining if tolerates(pool, kb.rules[i], kb.vocab)]
         if not tolerated:
             raise ConsistencyError(tuple(kb.rules[i] for i in remaining), kb.vocab)
-        strata.append(frozenset(tolerated))
-        remaining = [i for i in remaining if i not in set(tolerated)]
+        stratum = frozenset(tolerated)
+        strata.append(stratum)
+        remaining = [i for i in remaining if i not in stratum]
     return tuple(strata)
 
 
-@dataclass(frozen=True)
-class StratifiedRanking:
+class StratifiedRanking(Record):
     """Stratification result plus the induced distribution.
 
     ``rules`` is the deduped rule tuple the strata and priorities refer

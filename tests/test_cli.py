@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -247,6 +248,38 @@ assert ordindep.run_catalog is not None and "numpy" in sys.modules
 def test_rank_query_dist_indep_leave_numpy_unloaded():
     proc = _python("-c", NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
+
+
+# compared with the modules loaded before the import, so that the check
+# holds where site already loads some of them
+NOTHING_HEAVY = """
+import sys
+before = set(sys.modules)
+from ordindep import cli
+for argv in (["rank", "data/penguin.kb"], ["query", "data/penguin.kb", "-e", "p", "-c", "b"],
+             ["dist", "data/penguin.kb"], ["indep", "data/sample.dist", "-a", "a", "-c", "c"]):
+    assert cli.main(argv) == 0, argv
+heavy = {"dataclasses", "inspect", "json", "pathlib", "numpy"} & (set(sys.modules) - before)
+assert not heavy, sorted(heavy)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_rank_query_dist_indep_load_nothing_heavy(flags):
+    proc = _python(*flags, "-c", NOTHING_HEAVY)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((REPO / "src" / "ordindep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
 
 
 def test_penguin_walkthrough_runs():

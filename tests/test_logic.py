@@ -18,8 +18,19 @@ from ordindep import (
     models,
     parse_formula,
 )
-from ordindep import logic
-from ordindep.logic import MAX_ATOMS, _atom_pattern, evaluate, mask_worlds
+from ordindep import (
+    Dist,
+    IndepDirective,
+    IndepReport,
+    ParsedDocument,
+    Rule,
+    RuleBase,
+    RuleOrigin,
+    StratifiedRanking,
+    logic,
+)
+from ordindep.lawlab import Counterexample, CriterionReport, Law, LawReport, ProbeReport
+from ordindep.logic import MAX_ATOMS, Record, _atom_pattern, evaluate, mask_worlds
 
 from strategies import formulas, vocabs
 
@@ -200,3 +211,150 @@ class TestFormatting:
         vocab = Vocabulary(("a", "b", "c"))
         text = format_formula(formula, vocab)
         assert parse_formula(text, vocab) == formula
+
+
+AC = Vocabulary(("a", "c"))
+RULE = Rule(A, B)
+DIST = Dist(AC, 3, (1, 1, 2, 3))
+
+# one valid instance of every record class, as its fields by keyword in
+# field order, plus another value for its last field
+RECORDS = {
+    Vocabulary: ({"atoms": ("a", "c")}, ("a", "b")),
+    Dist: ({"vocab": AC, "top": 3, "levels": (1, 1, 2, 3)}, (3, 1, 2, 3)),
+    IndepReport: (
+        {"unrelated_z": True, "weak": True, "strong": True,
+         "poss_ac": 3, "poss_a_nc": 1, "poss_na_c": 2, "poss_na_nc": 1},
+        0,
+    ),
+    Rule: ({"antecedent": A, "consequent": B, "origin": RuleOrigin.INDEPENDENCE}, RuleOrigin.USER),
+    RuleBase: ({"vocab": AB, "rules": (RULE,)}, ()),
+    StratifiedRanking: (
+        {"vocab": AB, "rules": (RULE,), "strata": (frozenset({0}),), "pi_star": DIST, "priorities": (1,)},
+        (2,),
+    ),
+    IndepDirective: ({"conclusion": A, "extra": B, "context": TRUE}, FALSE),
+    ParsedDocument: ({"vocab": AB, "rules": (RULE,), "directives": ()}, (IndepDirective(A, B, TRUE),)),
+    Law: ({"law_id": "x", "arity": 1, "note": "", "predicate": len}, abs),
+    Counterexample: ({"dist": DIST, "formulas": (A,)}, (B,)),
+    LawReport: (
+        {"law_id": "x", "atoms": 2, "top": 3, "evaluations": 10, "holds": False,
+         "counterexample": Counterexample(DIST, (A,))},
+        None,
+    ),
+    CriterionReport: (
+        {"criterion": "CCD", "relation": "Zadeh", "atoms": 2, "top": 3, "holds": True, "counterexample": None},
+        Counterexample(DIST, ()),
+    ),
+    ProbeReport: ({"atoms": 1, "candidates": 64, "satisfying": 20, "realized": 5, "unrealized": ()}, (7,)),
+}
+
+
+def test_every_record_class_is_covered():
+    assert set(RECORDS) == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_equal_fields_give_equal_records_and_hashes(self, cls):
+        fields, _ = RECORDS[cls]
+        values = tuple(fields.values())
+        rec = cls(*values)
+        assert rec == cls(*values) and not (rec != cls(*values))
+        assert hash(rec) == hash(cls(*values)) == hash(values)
+        assert {rec: 1}[cls(*values)] == 1
+
+    def test_a_different_field_gives_a_different_record(self, cls):
+        fields, other = RECORDS[cls]
+        values = tuple(fields.values())
+        assert cls(*values) != cls(*values[:-1], other)
+
+    def test_not_equal_to_a_tuple_or_another_class(self, cls):
+        fields, _ = RECORDS[cls]
+        values = tuple(fields.values())
+        rec = cls(*values)
+        assert rec != values
+        twin = type("Twin", (cls,), {})
+        assert twin(*values) != rec and rec != twin(*values)
+        with pytest.raises(TypeError):
+            len(rec)
+
+    def test_keyword_construction(self, cls):
+        fields, _ = RECORDS[cls]
+        rec = cls(**fields)
+        assert rec == cls(*fields.values())
+        assert rec == cls(*list(fields.values())[:1], **dict(list(fields.items())[1:]))
+        for name, value in fields.items():
+            assert getattr(rec, name) is value
+
+    def test_immutable(self, cls):
+        fields, _ = RECORDS[cls]
+        rec = cls(**fields)
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert rec == cls(**fields)
+
+    def test_bad_arguments(self, cls):
+        fields, _ = RECORDS[cls]
+        values = tuple(fields.values())
+        with pytest.raises(TypeError, match="takes"):
+            cls(*values, 0)
+        with pytest.raises(TypeError, match="missing"):
+            cls(**dict(list(fields.items())[1:]))
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cls(*values, bogus=0)
+        with pytest.raises(TypeError, match="multiple values"):
+            cls(*values, **{next(iter(fields)): values[0]})
+
+    def test_repr_names_every_field(self, cls):
+        fields, _ = RECORDS[cls]
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+class TestRecordDetails:
+    def test_rule_origin_defaults_to_user(self):
+        assert RULE.origin is RuleOrigin.USER
+        assert RULE == Rule(A, B, RuleOrigin.USER) == Rule(consequent=B, antecedent=A)
+        assert Rule(A, B) != Rule(A, B, RuleOrigin.INDEPENDENCE)
+
+    def test_same_fields_in_another_class_differ(self):
+        assert Rule(A, B, TRUE) != IndepDirective(A, B, TRUE)
+        assert IndepDirective(A, B, TRUE) != Rule(A, B, TRUE)
+
+    def test_reprs_as_before(self):
+        assert repr(AC) == "Vocabulary(atoms=('a', 'c'))"
+        assert repr(RULE) == "Rule(antecedent=Atom(0), consequent=Atom(1), origin=<RuleOrigin.USER: 'user'>)"
+        assert repr(DIST) == "Dist(vocab=Vocabulary(atoms=('a', 'c')), top=3, levels=(1, 1, 2, 3))"
+        assert repr(IndepReport(True, True, True, 3, 1, 2, 1)) == (
+            "IndepReport(unrelated_z=True, weak=True, strong=True, poss_ac=3, poss_a_nc=1, poss_na_c=2, poss_na_nc=1)"
+        )
+
+    def test_derived_attributes_are_not_fields(self):
+        assert DIST._bands == ((3, 0b1000), (2, 0b0100), (1, 0b0011))
+        assert AC._index == {"a": 0, "c": 1}
+        for rec, name in ((DIST, "_bands"), (AC, "_index")):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+            assert name not in repr(rec)
+
+    def test_post_init_validates_keyword_construction(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Vocabulary(atoms=("a", "a"))
+        with pytest.raises(ValueError, match="not normalized"):
+            Dist(levels=(0, 0, 1, 1), top=2, vocab=AC)
+
+    def test_subclass_extends_the_fields(self):
+        class Tagged(Rule):
+            tag: str = "t"
+
+        rec = Tagged(A, B)
+        assert (rec.origin, rec.tag) == (RuleOrigin.USER, "t")
+        fields = f"antecedent=Atom(0), consequent=Atom(1), origin={RuleOrigin.USER!r}, tag='t'"
+        assert repr(rec) == f"{Tagged.__qualname__}({fields})"
+        assert rec != RULE
