@@ -84,7 +84,7 @@ _LAWLAB_NAMES = (
     "generator_formulas",
     "lab_vocabulary",
     "law_by_id",
-    "realized_relation",
+    "realized_relations",
     "relation_axioms_hold",
     "run_catalog",
 )

@@ -15,7 +15,10 @@ level per enumerated distribution as a numpy row, to sweep them all at
 once, and then a concrete Dist to confirm the first failure.  No measure
 or relation formula is written out a second time here, and no composition
 law either: the criteria table's cells and the catalog laws that state a
-cell all come from ``composition_predicate``.
+cell all come from ``composition_predicate``.  The relation-axiom probe
+sweeps the same event table: one strong-independence call over every
+event pair gives each distribution's dependence relation, and the axioms
+are checked on that relation as an event x event dependence matrix.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -70,11 +73,9 @@ def enumerate_dists(n: int, top: int, budget: int = DEFAULT_BUDGET) -> Iterator[
     Deterministic order: levels run through the plain product order with
     the last world varying fastest; non-normalized tuples are skipped.
     """
-    if not (1 <= n <= MAX_LAB_ATOMS):
-        raise ValueError(f"atom count must be 1..{MAX_LAB_ATOMS}, got {n}")
+    vocab = lab_vocabulary(n)
     if not (1 <= top <= MAX_LAB_TOP):
         raise ValueError(f"scale top must be 1..{MAX_LAB_TOP}, got {top}")
-    vocab = lab_vocabulary(n)
     raw = (top + 1) ** vocab.world_count
     if raw > budget:
         raise BudgetError(f"enumerating {raw} level tuples exceeds budget {budget}")
@@ -808,59 +809,52 @@ def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[Crite
 # distribution whose strong-dependence relation matches exactly.
 
 
-def realized_relation(d: Dist) -> int:
-    """Strong-dependence relation of a distribution, packed as a bitset."""
-    events = 1 << d.vocab.world_count
-    bits = 0
-    idx = 0
-    for x in range(events):
-        for y in range(events):
-            if not indep.strong_indep_masks(d, x, y):
-                bits |= 1 << idx
-            idx += 1
-    return bits
+def realized_relations(ensemble: DistEnsemble) -> list[int]:
+    """Strong-dependence relation of every distribution in the ensemble,
+    in ensemble order, each packed as a bitset over the E = 2^(2^n)
+    events: bit x*E + y is set when event x is dependent with event y.
+
+    One broadcast call reads every event pair off the event table, so it
+    builds (E, E, count) tables: intended for n <= 2 (16 x 16 x 175 at
+    (2, 3)); at (3, 2) each would be 256 x 256 x 6305, over 400 MB.
+    """
+    events = len(ensemble.P)
+    ids = np.arange(events)
+    dep = ~indep.strong_indep_masks(ensemble, ids[:, None], ids[None, :])
+    packed = np.packbits(dep.reshape(events * events, ensemble.count), axis=0, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
 
-def _forced_pairs(events: int, full: int, mode: str) -> tuple[set, set]:
-    """Pairs pinned by the non-conditional axioms, per reading of the
-    self-negation axiom: 'printed' pins only (a, full), (a, not a); 'schema'
-    pins every disjoint pair."""
-    forced_in = set()
+def _forced_pairs(n: int, mode: str) -> np.ndarray:
+    """The E x E matrix of pairs the non-conditional axioms force
+    dependent, per reading of the self-negation axiom: 'printed' pins only
+    (a, false) and (a, not a); 'schema' pins every disjoint pair."""
+    events = 1 << (1 << n)
+    x, y = np.ogrid[:events, :events]
     if mode == "printed":
-        for x in range(events):
-            forced_in.add((x, 0))
-            forced_in.add((x, full ^ x))
-    elif mode == "schema":
-        for x in range(events):
-            for y in range(events):
-                if x & y == 0:
-                    forced_in.add((x, y))
-    else:
-        raise ValueError(f"unknown axiom mode: {mode!r}")
-    return forced_in, {(full, full)}
+        return (y == 0) | (y == (events - 1) ^ x)
+    if mode == "schema":
+        return (x & y) == 0
+    raise ValueError(f"unknown axiom mode: {mode!r}")
 
 
 def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
-    """The five dependence axioms, read over event bitmasks."""
+    """The five dependence axioms, read over event bitmasks: the forced
+    pairs are dependent, (true, true) is not, and transitivity and the
+    split axiom hold for every event triple."""
     events = 1 << (1 << n)
+    pairs = events * events
+    if not 0 <= bits < 1 << pairs:
+        raise ValueError(f"relation bits must lie in [0, 2**{pairs}) at {n} atoms")
+    raw = np.frombuffer(bits.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+    dep = np.unpackbits(raw, count=pairs, bitorder="little").view(bool).reshape(events, events)
     full = events - 1
-
-    def dep(x: int, y: int) -> bool:
-        return bool((bits >> (x * events + y)) & 1)
-
-    forced_in, forced_out = _forced_pairs(events, full, mode)
-    if any(not dep(x, y) for x, y in forced_in):
+    if not np.all(dep[_forced_pairs(n, mode)]) or dep[full, full]:
         return False
-    if any(dep(x, y) for x, y in forced_out):
-        return False
-    for x in range(events):
-        for y in range(events):
-            for z in range(events):
-                if dep(x | y, full ^ y) and dep(y | z, full ^ z) and not dep(x | z, full ^ z):
-                    return False
-                if dep(x, y & z) and not (dep(x, y) or dep(x, z)):
-                    return False
-    return True
+    x, y, z = np.ogrid[:events, :events, :events]
+    transitivity = ~(dep[x | y, full ^ y] & dep[y | z, full ^ z]) | dep[x | z, full ^ z]
+    split = ~dep[x, y & z] | dep[x, y] | dep[x, z]
+    return bool(np.all(transitivity) and np.all(split))
 
 
 class ProbeReport(Record):
@@ -878,11 +872,7 @@ PROBE_FLIPS = 3
 
 
 def _realized_relations(n: int) -> set[int]:
-    seen = set()
-    for top in PROBE_TOPS:
-        for d in enumerate_dists(n, top):
-            seen.add(realized_relation(d))
-    return seen
+    return {bits for top in PROBE_TOPS for bits in realized_relations(DistEnsemble(n, top))}
 
 
 def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> ProbeReport:
@@ -901,15 +891,10 @@ def completeness_probe_exact(mode: str = "printed") -> ProbeReport:
     slots are fixed up front and the loop only expands the free ones.
     """
     n = 1
-    events = 1 << (1 << n)
-    forced_in, forced_out = _forced_pairs(events, events - 1, mode)
-    free = [
-        1 << (x * events + y)
-        for x in range(events)
-        for y in range(events)
-        if (x, y) not in forced_in and (x, y) not in forced_out
-    ]
-    base = sum(1 << (x * events + y) for x, y in forced_in)
+    forced = _forced_pairs(n, mode).ravel()
+    base = sum(1 << i for i in np.flatnonzero(forced).tolist())
+    # the last slot is (true, true), which the axioms exclude
+    free = [1 << i for i in np.flatnonzero(~forced).tolist() if i != forced.size - 1]
     candidates = (
         base + sum(bit for take, bit in zip(picks, free) if take)
         for picks in itertools.product((0, 1), repeat=len(free))

@@ -294,3 +294,6 @@ def test_axiom_probe_runs():
     # the one-atom counts that tests/test_lawlab.py pins
     assert "printed: 256 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
     assert "schema: 64 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout
+    # the two-atom sampled counts at the default 500 samples, seed 0
+    assert "printed: 499 sampled non-realized relations, 84 satisfy the axioms" in proc.stdout
+    assert "schema: 499 sampled non-realized relations, 40 satisfy the axioms" in proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ordindep import (
     lab_vocabulary,
     law_by_id,
     model_mask,
-    realized_relation,
+    realized_relations,
     relation_axioms_hold,
     run_catalog,
 )
@@ -314,6 +315,117 @@ class TestRelationProbe:
         with pytest.raises(ValueError):
             completeness_probe_exact(mode="nonsense")
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_out_of_range_relation_rejected(self, n):
+        pairs = (1 << (1 << n)) ** 2
+        for bits in (-1, 1 << pairs):
+            with pytest.raises(ValueError, match="relation bits"):
+                relation_axioms_hold(bits, n)
+        # the extremes are in range: nothing dependent, and everything
+        # dependent, (true, true) included
+        assert relation_axioms_hold(0, n) is False
+        assert relation_axioms_hold((1 << pairs) - 1, n) is False
+
+
+def _reference_forced_pairs(events, full, mode):
+    forced_in = set()
+    if mode == "printed":
+        for x in range(events):
+            forced_in.add((x, 0))
+            forced_in.add((x, full ^ x))
+    else:
+        for x in range(events):
+            for y in range(events):
+                if x & y == 0:
+                    forced_in.add((x, y))
+    return forced_in, {(full, full)}
+
+
+def _reference_axioms_hold(bits, n, mode):
+    """The five axioms as first transcribed: pair sets and a triple loop
+    over a bit-reading closure, the oracle for the matrix check."""
+    events = 1 << (1 << n)
+    full = events - 1
+
+    def dep(x, y):
+        return bool((bits >> (x * events + y)) & 1)
+
+    forced_in, forced_out = _reference_forced_pairs(events, full, mode)
+    if any(not dep(x, y) for x, y in forced_in):
+        return False
+    if any(dep(x, y) for x, y in forced_out):
+        return False
+    for x in range(events):
+        for y in range(events):
+            for z in range(events):
+                if dep(x | y, full ^ y) and dep(y | z, full ^ z) and not dep(x | z, full ^ z):
+                    return False
+                if dep(x, y & z) and not (dep(x, y) or dep(x, z)):
+                    return False
+    return True
+
+
+class TestAxiomOracle:
+    MODES = ("printed", "schema")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_exact_probe_candidate(self, mode):
+        # the one-atom candidates, built as first written: forced pairs
+        # set, (true, true) clear, every subset of the remaining slots
+        events = 4
+        forced_in, forced_out = _reference_forced_pairs(events, events - 1, mode)
+        free = [
+            1 << (x * events + y)
+            for x in range(events)
+            for y in range(events)
+            if (x, y) not in forced_in and (x, y) not in forced_out
+        ]
+        base = sum(1 << (x * events + y) for x, y in forced_in)
+        candidates = [
+            base + sum(bit for take, bit in zip(picks, free) if take)
+            for picks in itertools.product((0, 1), repeat=len(free))
+        ]
+        admitted = []
+        for bits in candidates:
+            want = _reference_axioms_hold(bits, 1, mode)
+            assert relation_axioms_hold(bits, 1, mode) is want, (bits, mode)
+            if want:
+                admitted.append(bits)
+            # with (true, true) set as well, some of them break only the
+            # axiom that excludes that pair
+            bits |= 1 << (events * events - 1)
+            assert relation_axioms_hold(bits, 1, mode) is _reference_axioms_hold(bits, 1, mode)
+        rep = completeness_probe_exact(mode=mode)
+        assert rep.candidates == len(candidates)
+        assert rep.satisfying == len(admitted)
+        realized = _realized_relations(1)
+        assert rep.unrealized == tuple(b for b in admitted if b not in realized)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_realized_relation(self, n):
+        for bits in _realized_relations(n):
+            for mode in self.MODES:
+                assert relation_axioms_hold(bits, n, mode) is _reference_axioms_hold(bits, n, mode)
+
+    def test_seeded_two_atom_relations(self):
+        # mutations of realized relations (0-6 flipped pairs) mostly pass
+        # the forced pairs and reach the triple axioms; uniform bitsets
+        # mostly do not
+        rng = random.Random(0)
+        pool = sorted(_realized_relations(2))
+        relations = []
+        for _ in range(1600):
+            bits = rng.choice(pool)
+            for _ in range(rng.randint(0, 6)):
+                bits ^= 1 << rng.randrange(256)
+            relations.append(bits)
+        relations += [rng.getrandbits(256) for _ in range(400)]
+        for mode in self.MODES:
+            verdicts = [_reference_axioms_hold(bits, 2, mode) for bits in relations]
+            assert 0 < sum(verdicts) < len(relations)
+            for bits, want in zip(relations, verdicts):
+                assert relation_axioms_hold(bits, 2, mode) is want, (bits, mode)
+
 
 def _mask_formula(mask, vocab):
     """A DNF formula whose model mask is exactly the given world set."""
@@ -332,25 +444,28 @@ class TestRealizedRelationMatchesDefinition:
     # the probe reads strong dependence off the cell form; the definition
     # goes through cond_nec, so each bit is checked against the other route
     @staticmethod
-    def _check(d):
-        vocab = d.vocab
+    def _check(ens, picks):
+        vocab = ens.vocab
         events = 1 << vocab.world_count
         forms = [_mask_formula(x, vocab) for x in range(events)]
         assert [model_mask(f, vocab.n) for f in forms] == list(range(events))
-        bits = realized_relation(d)
-        for x, y in itertools.product(range(events), repeat=2):
-            dep = bool((bits >> (x * events + y)) & 1)
-            assert dep == (not ind.strong_indep(d, forms[x], forms[y])), (d.levels, x, y)
+        rels = realized_relations(ens)
+        assert len(rels) == ens.count
+        for i in picks:
+            d, bits = ens.dist_at(i), rels[i]
+            for x, y in itertools.product(range(events), repeat=2):
+                dep = bool((bits >> (x * events + y)) & 1)
+                assert dep == (not ind.strong_indep(d, forms[x], forms[y])), (d.levels, x, y)
 
     @pytest.mark.parametrize("top", [1, 2, 3])
     def test_every_dist_one_atom(self, top):
-        for d in enumerate_dists(1, top):
-            self._check(d)
+        ens = DistEnsemble(1, top)
+        self._check(ens, range(ens.count))
 
     def test_subsample_two_atoms(self):
         for top in (1, 2, 3):
-            for d in list(enumerate_dists(2, top))[::9]:
-                self._check(d)
+            ens = DistEnsemble(2, top)
+            self._check(ens, range(0, ens.count, 9))
 
 
 class TestRealizedRelationKey:
@@ -359,11 +474,12 @@ class TestRealizedRelationKey:
         # with the same world preorder can still differ on which worlds sit
         # at level 0, and that changes the realized relation
         seen = {}
-        for d in enumerate_dists(2, 3):
+        ens = DistEnsemble(2, 3)
+        for i, rel in enumerate(realized_relations(ens)):
+            d = ens.dist_at(i)
             order = sorted(set(d.levels))
             ranks = tuple(order.index(x) for x in d.levels)
             zeros = tuple(x == 0 for x in d.levels)
-            rel = realized_relation(d)
             key = (ranks, zeros)
             assert seen.setdefault(key, rel) == rel
         assert len(seen) == 125
