@@ -120,7 +120,6 @@ def _cmd_check(args) -> int:
     from .lawlab import format_counterexample, run_catalog
 
     reports = run_catalog(args.atoms, args.top, _budget(args))
-    records = []
     failures = 0
     for rep in reports:
         mark = "ok  " if rep.holds else "FAIL"
@@ -128,22 +127,20 @@ def _cmd_check(args) -> int:
         if not rep.holds:
             failures += 1
             print(format_counterexample(rep.counterexample))
-        records.append(
-            {
-                "law": rep.law_id,
-                "atoms": rep.atoms,
-                "top": rep.top,
-                "evaluations": rep.evaluations,
-                "holds": rep.holds,
-                "counterexample": _counterexample_record(rep.counterexample),
-            }
-        )
     print(f"{len(reports) - failures} of {len(reports)} laws hold")
     if args.jsonl:
         import json
 
         with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for record in records:
+            for rep in reports:
+                record = {
+                    "law": rep.law_id,
+                    "atoms": rep.atoms,
+                    "top": rep.top,
+                    "evaluations": rep.evaluations,
+                    "holds": rep.holds,
+                    "counterexample": _counterexample_record(rep.counterexample),
+                }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
@@ -225,10 +222,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:  # includes the law lab's BudgetError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:  # ValueError includes the law lab's BudgetError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

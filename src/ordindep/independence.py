@@ -15,16 +15,17 @@ which the law catalog checks exhaustively.
 
 The cell forms live once, in the ``*_masks`` functions over world-set
 bitmasks; ``classify``, the formula-level functions and the relation probe
-in ``lawlab`` all call them.  Like ``measures``, everything here except
-``cond_weak_indep`` (which stops at the first failed test) reads a
+in ``lawlab`` all call them.  Like ``measures``, everything here reads a
 distribution only through ``vocab``, ``top`` and ``poss_mask`` and combines
-verdicts with ``&``, so it runs unchanged on a ``lawlab.DistEnsemble``.
+verdicts with ``&``, so it runs unchanged on a ``lawlab.DistEnsemble``; only
+``classify``, which uses ``not`` and builds an ``IndepReport``, needs a
+single ``Dist``.
 """
 
 from __future__ import annotations
 
-from .logic import Formula, Not, Or, Record, model_mask
-from .measures import Dist, _full_mask, cond_nec, nec
+from .logic import Formula, Not, Or, Record, full_mask, model_mask
+from .measures import Dist, cond_nec, nec
 
 
 class IndepReport(Record):
@@ -55,14 +56,14 @@ def related_z_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
 
 def strong_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
     """Cell form of strong independence of two world sets."""
-    nc_mask = _full_mask(d) ^ c_mask
+    nc_mask = full_mask(d.vocab.n) ^ c_mask
     pnc = d.poss_mask(nc_mask)
     return (d.poss_mask(a_mask) > pnc) & (pnc == d.poss_mask(a_mask & nc_mask))
 
 
 def weak_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
     """Cell form of weak independence of two world sets."""
-    full = _full_mask(d)
+    full = full_mask(d.vocab.n)
     return (d.poss_mask(a_mask & c_mask) > d.poss_mask(a_mask & (full ^ c_mask))) & (
         d.poss_mask(c_mask) > d.poss_mask((full ^ a_mask) & (full ^ c_mask))
     )
@@ -102,15 +103,13 @@ def contraction_dep(d: Dist, a: Formula, c: Formula) -> bool:
 
 def cond_weak_indep(d: Dist, conclusion: Formula, context: Formula, extra: Formula) -> bool:
     """Conclusion accepted in the context and still accepted with the extra fact."""
-    if cond_nec(d, conclusion, context) <= 0:
-        return False
-    return cond_nec(d, conclusion, context & extra) > 0
+    return (cond_nec(d, conclusion, context) > 0) & (cond_nec(d, conclusion, context & extra) > 0)
 
 
 def classify(d: Dist, a: Formula, c: Formula) -> IndepReport:
     """All three relation verdicts for the pair, with witness cells."""
     a_mask, c_mask = _masks(d, a, c)
-    full = _full_mask(d)
+    full = full_mask(d.vocab.n)
     na_mask, nc_mask = full ^ a_mask, full ^ c_mask
     return IndepReport(
         unrelated_z=not related_z_masks(d, a_mask, c_mask),

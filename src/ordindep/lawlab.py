@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ from .logic import (
     Record,
     Vocabulary,
     format_formula,
+    full_mask,
     model_mask,
 )
 from . import independence as indep
@@ -95,16 +97,13 @@ def generator_formulas(vocab: Vocabulary) -> tuple[Formula, ...]:
     gens: list[Formula] = [TRUE, FALSE]
     for i in range(vocab.n):
         x = vocab.atom(i)
-        gens.append(x)
-        gens.append(Not(x))
+        gens += (x, Not(x))
     if vocab.n >= 2:
         a, b = vocab.atom(0), vocab.atom(1)
-        for left in (a, Not(a)):
-            for right in (b, Not(b)):
-                gens.append(And(left, right))
-        for left in (a, Not(a)):
-            for right in (b, Not(b)):
-                gens.append(Or(left, right))
+        for join in (And, Or):
+            for left in (a, Not(a)):
+                for right in (b, Not(b)):
+                    gens.append(join(left, right))
     return tuple(gens)
 
 
@@ -173,8 +172,7 @@ class ScalarOps:
 
     def entails_classically(self, a: Formula, b: Formula) -> bool:
         n = self.dist.vocab.n
-        full = (1 << self.dist.vocab.world_count) - 1
-        return (model_mask(a, n) & (full ^ model_mask(b, n))) == 0
+        return (model_mask(a, n) & (full_mask(n) ^ model_mask(b, n))) == 0
 
 
 def _imp(p, q):
@@ -207,13 +205,8 @@ def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
     """Two-line rendering: the instantiating formulas, then the distribution."""
     pad = " " * indent
     vocab = ce.dist.vocab
-    if ce.formulas:
-        shown = ", ".join(format_formula(f, vocab) for f in ce.formulas)
-    else:
-        shown = "(none)"
-    cells = "; ".join(
-        f"{vocab.format_world(w)}={lv}" for w, lv in enumerate(ce.dist.levels)
-    )
+    shown = ", ".join(format_formula(f, vocab) for f in ce.formulas) if ce.formulas else "(none)"
+    cells = "; ".join(f"{vocab.format_world(w)}={lv}" for w, lv in enumerate(ce.dist.levels))
     return f"{pad}formulas: {shown}\n{pad}dist (top {ce.dist.top}): {cells}"
 
 
@@ -825,17 +818,29 @@ def realized_relations(ensemble: DistEnsemble) -> list[int]:
     return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
 
+@lru_cache(maxsize=None)
 def _forced_pairs(n: int, mode: str) -> np.ndarray:
     """The E x E matrix of pairs the non-conditional axioms force
     dependent, per reading of the self-negation axiom: 'printed' pins only
-    (a, false) and (a, not a); 'schema' pins every disjoint pair."""
+    (a, false) and (a, not a); 'schema' pins every disjoint pair.  Built
+    once per (n, mode) and read-only."""
+    if mode not in ("printed", "schema"):
+        raise ValueError(f"unknown axiom mode: {mode!r}")
     events = 1 << (1 << n)
     x, y = np.ogrid[:events, :events]
-    if mode == "printed":
-        return (y == 0) | (y == (events - 1) ^ x)
-    if mode == "schema":
-        return (x & y) == 0
-    raise ValueError(f"unknown axiom mode: {mode!r}")
+    forced = (y == 0) | (y == full_mask(n) ^ x) if mode == "printed" else (x & y) == 0
+    forced.flags.writeable = False
+    return forced
+
+
+@lru_cache(maxsize=None)
+def _event_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Open grids x, y, z over every event triple, built once per n and read-only."""
+    events = 1 << (1 << n)
+    grids = tuple(np.ogrid[:events, :events, :events])
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
@@ -848,10 +853,10 @@ def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
         raise ValueError(f"relation bits must lie in [0, 2**{pairs}) at {n} atoms")
     raw = np.frombuffer(bits.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
     dep = np.unpackbits(raw, count=pairs, bitorder="little").view(bool).reshape(events, events)
-    full = events - 1
+    full = full_mask(n)
     if not np.all(dep[_forced_pairs(n, mode)]) or dep[full, full]:
         return False
-    x, y, z = np.ogrid[:events, :events, :events]
+    x, y, z = _event_triples(n)
     transitivity = ~(dep[x | y, full ^ y] & dep[y | z, full ^ z]) | dep[x | z, full ^ z]
     split = ~dep[x, y & z] | dep[x, y] | dep[x, z]
     return bool(np.all(transitivity) and np.all(split))

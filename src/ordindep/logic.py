@@ -4,6 +4,9 @@ A world over n atoms is an int in [0, 2**n); bit i is the truth value of
 atom i.  A set of worlds is an int bitmask over 2**n worlds: bit w is set
 iff world w belongs to the set.  All semantic computation downstream runs
 on these masks, so formula evaluation happens once per (formula, n) pair.
+
+Only ``full_mask(n)`` builds the universe, the mask of all 2**n worlds;
+a complement is ``full_mask(n) ^ mask``, never the negative ``~mask``.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class TrueFormula(Formula):
         object.__setattr__(self, "_masks", {})
 
     def _compute_mask(self, n: int) -> int:
-        return (1 << (1 << n)) - 1
+        return full_mask(n)
 
 
 class FalseFormula(Formula):
@@ -217,11 +220,17 @@ FALSE = FalseFormula()
 
 
 @lru_cache(maxsize=None)
+def full_mask(n: int) -> int:
+    """The mask of all 2**n worlds, the universe every complement is taken in."""
+    return (1 << (1 << n)) - 1
+
+
+@lru_cache(maxsize=None)
 def _atom_pattern(i: int, n: int) -> int:
     # worlds are consecutive bits, so atom i's models form a fixed stripe of
     # 2**i clear bits then 2**i set bits; all-ones // (2**2**i + 1) is that
     # stripe's set runs shifted down to bit 0
-    return ((1 << (1 << n)) - 1) // ((1 << (1 << i)) + 1) << (1 << i)
+    return full_mask(n) // ((1 << (1 << i)) + 1) << (1 << i)
 
 
 class Atom(Formula):
@@ -249,8 +258,7 @@ class Not(Formula):
         object.__setattr__(self, "_masks", {})
 
     def _compute_mask(self, n: int) -> int:
-        full = (1 << (1 << n)) - 1
-        return full ^ model_mask(self.child, n)
+        return full_mask(n) ^ model_mask(self.child, n)
 
 
 class And(Formula):

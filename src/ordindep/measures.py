@@ -12,14 +12,15 @@ and kept as is otherwise.
 The measures read a distribution only through ``vocab``, ``top`` and
 ``poss_mask(mask)`` and use no operator that needs a plain int, so they
 run unchanged on a ``lawlab.DistEnsemble``, whose ``poss_mask`` returns
-one level per enumerated distribution as a numpy row.
+one level per enumerated distribution as a numpy row; only ``entails``,
+which branches to a ``TriState``, needs a single ``Dist``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .logic import Formula, Record, Vocabulary, model_mask
+from .logic import Formula, Record, Vocabulary, full_mask, model_mask
 
 
 class TriState(enum.Enum):
@@ -81,10 +82,6 @@ class Dist(Record):
         return len(set(self.levels)) == len(self.levels)
 
 
-def _full_mask(d: Dist) -> int:
-    return (1 << d.vocab.world_count) - 1
-
-
 def poss(d: Dist, f: Formula) -> int:
     """Possibility of a formula: max level over its models."""
     return d.poss_mask(model_mask(f, d.vocab.n))
@@ -92,8 +89,8 @@ def poss(d: Dist, f: Formula) -> int:
 
 def nec(d: Dist, f: Formula) -> int:
     """Necessity: top minus the possibility of the complement."""
-    mask = model_mask(f, d.vocab.n)
-    return d.top - d.poss_mask(_full_mask(d) ^ mask)
+    n = d.vocab.n
+    return d.top - d.poss_mask(full_mask(n) ^ model_mask(f, n))
 
 
 def _cond_poss_masks(d: Dist, c_mask: int, a_mask: int) -> int:
@@ -112,9 +109,7 @@ def cond_poss(d: Dist, conclusion: Formula, given: Formula) -> int:
 def cond_nec(d: Dist, conclusion: Formula, given: Formula) -> int:
     """Conditional necessity, dual of conditional possibility."""
     n = d.vocab.n
-    c_mask = model_mask(conclusion, n)
-    a_mask = model_mask(given, n)
-    return d.top - _cond_poss_masks(d, _full_mask(d) ^ c_mask, a_mask)
+    return d.top - _cond_poss_masks(d, full_mask(n) ^ model_mask(conclusion, n), model_mask(given, n))
 
 
 def entails(d: Dist, evidence: Formula, conclusion: Formula) -> TriState:
@@ -128,7 +123,7 @@ def entails(d: Dist, evidence: Formula, conclusion: Formula) -> TriState:
     e_mask = model_mask(evidence, n)
     c_mask = model_mask(conclusion, n)
     keep = d.poss_mask(e_mask & c_mask)
-    drop = d.poss_mask(e_mask & (_full_mask(d) ^ c_mask))
+    drop = d.poss_mask(e_mask & (full_mask(n) ^ c_mask))
     if keep > drop:
         return TriState.ACCEPTED
     if keep < drop:

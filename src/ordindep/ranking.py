@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 
-from .logic import And, Formula, Not, Or, Record, Vocabulary, mask_worlds, model_mask
+from .logic import And, Formula, Not, Or, Record, Vocabulary, full_mask, mask_worlds, model_mask
 from .measures import Dist, TriState, cond_nec, entails, nec
 
 
@@ -70,8 +70,7 @@ def _verif_mask(rule: Rule, n: int) -> int:
 
 
 def _viol_mask(rule: Rule, n: int) -> int:
-    full = (1 << (1 << n)) - 1
-    return model_mask(rule.antecedent, n) & (full ^ model_mask(rule.consequent, n))
+    return model_mask(rule.antecedent, n) & (full_mask(n) ^ model_mask(rule.consequent, n))
 
 
 def tolerates(others: tuple[Rule, ...], rule: Rule, vocab: Vocabulary) -> bool:

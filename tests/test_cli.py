@@ -168,16 +168,39 @@ class TestTable:
         assert "counterexample for Strong CCI:" in out
 
 
-# captured `check` and `table` runs, read here and never written
-LAWLAB_TRANSCRIPTS = Path(__file__).resolve().parent.parent / "bench" / "expected" / "lawlab.json"
+REPO = Path(__file__).resolve().parent.parent
+
+# captured `check` and `table` runs and corpus commands, read here and
+# never written
+LAWLAB_TRANSCRIPTS = REPO / "bench" / "expected" / "lawlab.json"
+CORPUS_TRANSCRIPTS = REPO / "bench" / "expected" / "corpus.json"
 
 
-@pytest.mark.parametrize("command", ["check", "table"])
-def test_lawlab_output_matches_transcript(capsys, command):
-    expected = json.loads(LAWLAB_TRANSCRIPTS.read_text(encoding="utf-8"))[f"{command}_2x3"]
-    rc = main([command, "--atoms", "2", "--top", "3", "--budget", "2000000000"])
+@pytest.mark.parametrize(
+    "command, atoms, top",
+    [("check", 2, 3), ("table", 2, 3), ("check", 3, 2), ("table", 3, 2)],
+    ids=["check", "table", "check_3x2", "table_3x2"],
+)
+def test_lawlab_output_matches_transcript(capsys, command, atoms, top):
+    expected = json.loads(LAWLAB_TRANSCRIPTS.read_text(encoding="utf-8"))[f"{command}_{atoms}x{top}"]
+    rc = main([command, "--atoms", str(atoms), "--top", str(top), "--budget", "2000000000"])
     assert rc == expected["code"]
     assert capsys.readouterr().out == expected["stdout"]
+
+
+def test_corpus_output_matches_transcripts(capsys, monkeypatch):
+    # each key is a command's argv joined by tabs; its files are named
+    # relative to the repository root
+    monkeypatch.chdir(REPO)
+    transcripts = json.loads(CORPUS_TRANSCRIPTS.read_text(encoding="utf-8"))
+    assert transcripts
+    mismatched = []
+    for key, expected in transcripts.items():
+        rc = main(key.split("\t"))
+        out, err = capsys.readouterr()
+        if (rc, out, err) != (expected["code"], expected["stdout"], expected["stderr"]):
+            mismatched.append(key)
+    assert not mismatched, f"{len(mismatched)} of {len(transcripts)} differ, first {mismatched[:3]}"
 
 
 class TestErrorPaths:
@@ -221,9 +244,6 @@ class TestErrorPaths:
         rc = main(["query", str(data_dir / "penguin.kb"), "-e", "zz", "-c", "b"])
         assert rc == 2
         assert "parse error" in capsys.readouterr().err
-
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -280,6 +300,31 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in names, path.name
+
+
+def _spells_full_mask(node: ast.AST) -> bool:
+    """The all-worlds mask written out: `(1 << (1 << n)) - 1` or `(1 << x.world_count) - 1`."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    shift, one = node.left, node.right
+    if not (isinstance(one, ast.Constant) and one.value == 1):
+        return False
+    if not (isinstance(shift, ast.BinOp) and isinstance(shift.op, ast.LShift)):
+        return False
+    width = shift.right
+    if isinstance(width, ast.BinOp) and isinstance(width.op, ast.LShift):
+        return True
+    return ast.unparse(width).endswith("world_count")
+
+
+def test_only_logic_builds_the_full_mask_and_no_private_imports():
+    for path in sorted((REPO / "src" / "ordindep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name != "logic.py":
+                assert not _spells_full_mask(node), (path.name, node.lineno, ast.unparse(node))
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ordindep")):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, node.lineno, private)
 
 
 def test_penguin_walkthrough_runs():

@@ -29,12 +29,15 @@ from ordindep import (
     run_catalog,
 )
 from ordindep import independence as ind
+from ordindep import measures
 from ordindep.lawlab import (
     CRITERIA,
     RELATIONS,
     DistEnsemble,
     Law,
     ScalarOps,
+    _event_triples,
+    _forced_pairs,
     _realized_relations,
     law_cost,
 )
@@ -165,6 +168,21 @@ class TestBackendAgreement:
                     got = getattr(sca, name)(*combo)
                     assert type(got) is want_type, (name, combo, type(got))
                     assert got == row[i], (name, combo, i)
+
+    def test_unwrapped_relations_agree_on_every_dist(self):
+        # library calls no ScalarOps method wraps: on the ensemble each
+        # gives one verdict per distribution, equal to its plain bool on
+        # that Dist
+        ens = DistEnsemble(2, 2)
+        dists = [ens.dist_at(i) for i in range(ens.count)]
+        forms = generator_formulas(ens.vocab)
+        calls = {ind.cond_weak_indep: 3, ind.contraction_dep: 2, ind.recover_strict_order: 2, measures.qpo_geq: 2}
+        for fn, arity in calls.items():
+            for combo in itertools.product(forms, repeat=arity):
+                want = [fn(d, *combo) for d in dists]
+                assert all(type(v) is bool for v in want), (fn.__name__, combo)
+                row = np.broadcast_to(fn(ens, *combo), (ens.count,))
+                assert row.tolist() == want, (fn.__name__, combo)
 
     def test_event_table_is_every_mask_of_every_dist(self):
         ens = DistEnsemble(2, 3)
@@ -314,6 +332,17 @@ class TestRelationProbe:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             completeness_probe_exact(mode="nonsense")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_index_grids_are_shared_and_read_only(self, n):
+        # every axiom check reads the same cached arrays, so none may be
+        # written through
+        for array in (*_event_triples(n), _forced_pairs(n, "printed"), _forced_pairs(n, "schema")):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        assert _event_triples(n) is _event_triples(n)
+        assert _forced_pairs(n, "schema") is _forced_pairs(n, "schema")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_out_of_range_relation_rejected(self, n):

@@ -30,7 +30,7 @@ from ordindep import (
     logic,
 )
 from ordindep.lawlab import Counterexample, CriterionReport, Law, LawReport, ProbeReport
-from ordindep.logic import MAX_ATOMS, Record, _atom_pattern, evaluate, mask_worlds
+from ordindep.logic import MAX_ATOMS, Record, _atom_pattern, evaluate, full_mask, mask_worlds
 
 from strategies import formulas, vocabs
 
@@ -113,6 +113,13 @@ class TestMasks:
             for i in range(n):
                 stripe = sum(1 << w for w in range(1 << n) if (w >> i) & 1)
                 assert _atom_pattern(i, n) == stripe, (i, n)
+
+    def test_full_mask_is_every_world(self):
+        for n in range(1, MAX_ATOMS + 1):
+            every = 0
+            for w in range(1 << n):
+                every |= 1 << w
+            assert full_mask(n) == model_mask(TRUE, n) == every, n
 
     @given(st.integers(0, 1 << 70))
     def test_mask_worlds(self, mask):
