@@ -834,13 +834,17 @@ def _forced_pairs(n: int, mode: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _event_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Open grids x, y, z over every event triple, built once per n and read-only."""
+def _event_triples(n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays over every event triple (x, y, z), built once per n and
+    read-only: the open grids x, y and z, then the six event arrays the
+    axioms look up, x | y, full ^ y, y | z, full ^ z, x | z and y & z."""
     events = 1 << (1 << n)
-    grids = tuple(np.ogrid[:events, :events, :events])
-    for grid in grids:
-        grid.flags.writeable = False
-    return grids
+    full = full_mask(n)
+    x, y, z = np.ogrid[:events, :events, :events]
+    arrays = (x, y, z, x | y, full ^ y, y | z, full ^ z, x | z, y & z)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
@@ -856,9 +860,9 @@ def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
     full = full_mask(n)
     if not np.all(dep[_forced_pairs(n, mode)]) or dep[full, full]:
         return False
-    x, y, z = _event_triples(n)
-    transitivity = ~(dep[x | y, full ^ y] & dep[y | z, full ^ z]) | dep[x | z, full ^ z]
-    split = ~dep[x, y & z] | dep[x, y] | dep[x, z]
+    x, y, z, x_or_y, not_y, y_or_z, not_z, x_or_z, y_and_z = _event_triples(n)
+    transitivity = ~(dep[x_or_y, not_y] & dep[y_or_z, not_z]) | dep[x_or_z, not_z]
+    split = ~dep[x, y_and_z] | dep[x, y] | dep[x, z]
     return bool(np.all(transitivity) and np.all(split))
 
 

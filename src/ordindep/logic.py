@@ -7,6 +7,11 @@ on these masks, so formula evaluation happens once per (formula, n) pair.
 
 Only ``full_mask(n)`` builds the universe, the mask of all 2**n worlds;
 a complement is ``full_mask(n) ^ mask``, never the negative ``~mask``.
+
+``ATOMS`` holds one shared ``Atom`` leaf per index.  The parser and
+``Vocabulary.atom`` return these, so no leaf is built per token and an
+atom's mask is computed once per n; ``Atom(i)`` still builds a new node,
+equal to the shared one.
 """
 
 from __future__ import annotations
@@ -127,9 +132,10 @@ class Vocabulary(Record):
             raise KeyError(f"unknown atom: {name!r}") from None
 
     def atom(self, i: int) -> "Atom":
+        """The shared leaf for atom i."""
         if not (0 <= i < len(self.atoms)):
             raise IndexError(f"atom index {i} out of range for {len(self.atoms)} atoms")
-        return Atom(i)
+        return ATOMS[i]
 
     def format_world(self, world: int) -> str:
         """Literal form of one world, e.g. 'p !b f'."""
@@ -247,6 +253,9 @@ class Atom(Formula):
         if self.index >= n:
             raise ValueError(f"atom index {self.index} out of range for {n} atoms")
         return _atom_pattern(self.index, n)
+
+
+ATOMS = tuple(Atom(i) for i in range(MAX_ATOMS))
 
 
 class Not(Formula):

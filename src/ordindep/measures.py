@@ -12,8 +12,9 @@ and kept as is otherwise.
 The measures read a distribution only through ``vocab``, ``top`` and
 ``poss_mask(mask)`` and use no operator that needs a plain int, so they
 run unchanged on a ``lawlab.DistEnsemble``, whose ``poss_mask`` returns
-one level per enumerated distribution as a numpy row; only ``entails``,
-which branches to a ``TriState``, needs a single ``Dist``.
+one level per enumerated distribution as a numpy row.  ``entails`` is the
+one measure that needs a single ``Dist``: it branches to a ``TriState``,
+which it reads off one scan of the level bands.
 """
 
 from __future__ import annotations
@@ -118,16 +119,24 @@ def entails(d: Dist, evidence: Formula, conclusion: Formula) -> TriState:
     Accepted iff evidence-and-conclusion is strictly more possible than
     evidence-and-not-conclusion; Rejected for the mirror case; Ignored on
     ties (including an impossible evidence formula).
+
+    Both cells split the evidence, so the larger one holds the highest band
+    the evidence meets: one scan down the bands finds it, and the verdict
+    is read off the evidence worlds in that band.  All of them satisfying
+    the conclusion is Accepted, none is Rejected, a mix is Ignored; so is
+    evidence that meets no band, whose cells are both at level 0.
     """
     n = d.vocab.n
     e_mask = model_mask(evidence, n)
-    c_mask = model_mask(conclusion, n)
-    keep = d.poss_mask(e_mask & c_mask)
-    drop = d.poss_mask(e_mask & (full_mask(n) ^ c_mask))
-    if keep > drop:
-        return TriState.ACCEPTED
-    if keep < drop:
-        return TriState.REJECTED
+    for _, band in d._bands:
+        reached = band & e_mask
+        if reached:
+            kept = reached & model_mask(conclusion, n)
+            if kept == reached:
+                return TriState.ACCEPTED
+            if not kept:
+                return TriState.REJECTED
+            return TriState.IGNORED
     return TriState.IGNORED
 
 

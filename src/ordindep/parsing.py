@@ -10,6 +10,9 @@ in any order; `#` starts a comment.  A distribution file holds `atoms:`,
 as a binary number (bit i of the value is atom i, so the leftmost digit
 is the last atom) or a pattern of literals naming every atom once, like
 `a !c`.  Unlisted worlds sit at level 0.
+
+A parsed formula's atom leaves are the shared ``logic.ATOMS`` nodes, so a
+parse builds only the operator nodes above them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .logic import FALSE, TRUE, Atom, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies
+from .logic import ATOMS, FALSE, TRUE, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies
 from .measures import Dist
 from .ranking import Rule, RuleBase, inject_independence
 
@@ -47,6 +50,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<and>&)"
     r"|(?P<or>\|)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",  # any other character, a newline included
+    re.DOTALL,
 )
 
 
@@ -60,17 +65,15 @@ class _Token:
 
 
 def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
+    # the last group matches any one character, so the matches tile the text
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, col_offset + pos + 1
-            )
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), col_offset + m.start() + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col_offset + m.start() + 1)
+        tokens.append(_Token(kind, m.group(), col_offset + m.start() + 1))
     return tokens
 
 
@@ -206,7 +209,7 @@ class _FormulaParser:
                     tok.column,
                 )
             try:
-                return Atom(self.vocab.index(tok.text))
+                return ATOMS[self.vocab.index(tok.text)]
             except KeyError:
                 raise ParseError(f"unknown atom: {tok.text}", self.line, tok.column) from None
         raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.column)

@@ -337,11 +337,17 @@ class TestRelationProbe:
     def test_index_grids_are_shared_and_read_only(self, n):
         # every axiom check reads the same cached arrays, so none may be
         # written through
-        for array in (*_event_triples(n), _forced_pairs(n, "printed"), _forced_pairs(n, "schema")):
+        triples = _event_triples(n)
+        for array in (*triples, _forced_pairs(n, "printed"), _forced_pairs(n, "schema")):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
-        assert _event_triples(n) is _event_triples(n)
+        assert _event_triples(n) is triples
+        # the six event arrays the axioms index by, next to the grids
+        x, y, z, *events = triples
+        full = (1 << (1 << n)) - 1
+        for array, want in zip(events, (x | y, full ^ y, y | z, full ^ z, x | z, y & z), strict=True):
+            assert np.array_equal(array, want)
         assert _forced_pairs(n, "schema") is _forced_pairs(n, "schema")
 
     @pytest.mark.parametrize("n", [1, 2])

@@ -1,4 +1,8 @@
+import importlib.util
 import random
+import sys
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +13,7 @@ from ordindep import (
     And,
     Atom,
     Dist,
+    Formula,
     Not,
     Or,
     TriState,
@@ -18,10 +23,13 @@ from ordindep import (
     cond_poss,
     entails,
     nec,
+    parse_formula,
     parse_kb,
     poss,
     qpo_geq,
 )
+from ordindep.lawlab import enumerate_dists
+from ordindep.logic import full_mask, model_mask
 
 from strategies import dist_with_formulas, dists, vocabs
 
@@ -201,6 +209,78 @@ class TestEntailment:
     def test_accepted_iff_positive_conditional_necessity(self, dfg):
         d, e, c = dfg
         assert (entails(d, e, c) is TriState.ACCEPTED) == (cond_nec(d, c, e) > 0)
+
+
+def _two_cell_verdict(d: Dist, e: Formula, c: Formula) -> TriState:
+    """Acceptance as defined: the possibility of e & c against that of e & !c."""
+    n = d.vocab.n
+    e_mask, c_mask = model_mask(e, n), model_mask(c, n)
+    keep = d.poss_mask(e_mask & c_mask)
+    drop = d.poss_mask(e_mask & (full_mask(n) ^ c_mask))
+    if keep > drop:
+        return TriState.ACCEPTED
+    if keep < drop:
+        return TriState.REJECTED
+    return TriState.IGNORED
+
+
+def _event_formula(mask: int, n: int) -> Formula:
+    """A formula whose models are exactly the worlds in mask."""
+
+    def world(w):
+        return reduce(And, [Atom(i) if (w >> i) & 1 else Not(Atom(i)) for i in range(n)])
+
+    return reduce(Or, [world(w) for w in range(1 << n) if (mask >> w) & 1], FALSE)
+
+
+def _bench_gen():
+    """The benchmark's seeded input generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEntailmentDifferential:
+    """entails, which reads one band scan, against the two-cell definition."""
+
+    def test_every_dist_and_event_pair_at_2_3(self):
+        events = [_event_formula(mask, 2) for mask in range(16)]
+        assert [model_mask(e, 2) for e in events] == list(range(16))
+        seen = set()
+        for d in enumerate_dists(2, 3):
+            for e in events:
+                for c in events:
+                    want = _two_cell_verdict(d, e, c)
+                    assert entails(d, e, c) is want, (d.levels, model_mask(e, 2), model_mask(c, 2))
+                    seen.add(want)
+        assert seen == set(TriState)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pool_queries_on_rank_case_pi_star(self, seed):
+        for case in _bench_gen().rank_cases(seed):
+            doc = parse_kb(case.base.text)
+            d = compute_pi_star(doc.injected_base()).pi_star
+            vocab = doc.vocab
+            # one world at level 0 and one at the top, as full conjunctions
+            # of literals: evidence that meets no band, and the top band only
+            minterms = [
+                " & ".join(name if (w >> i) & 1 else "!" + name for i, name in enumerate(vocab.atoms))
+                for w in (d.levels.index(0), d.levels.index(d.top))
+            ]
+            first = vocab.atoms[0]
+            edge_evidence = [*minterms, f"{first} & !{first}", "false", "true"]
+            conclusions = sorted({c for _, c in case.pool})
+            queries = [*case.pool, *((e, c) for e in edge_evidence for c in conclusions)]
+            verdicts = set()
+            for etext, ctext in queries:
+                e, c = parse_formula(etext, vocab), parse_formula(ctext, vocab)
+                want = _two_cell_verdict(d, e, c)
+                assert entails(d, e, c) is want, (case.base.signs, etext, ctext)
+                verdicts.add(want)
+            assert TriState.IGNORED in verdicts
 
 
 class TestOrdering:

@@ -1,5 +1,7 @@
 from functools import reduce
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from ordindep import (
     parse_formula,
     parse_kb,
 )
-from ordindep.logic import model_mask
+from ordindep.logic import ATOMS, model_mask
 from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, _FormulaParser, _tokenize
 from ordindep.ranking import Rule, RuleOrigin
 
@@ -239,6 +241,90 @@ class TestGrammarDifferential:
         parser = _FormulaParser(_tokenize(text, 0, 0), ABC, 0, len(text) + 1)
         parser.parse()
         assert (parser.height, parser.size) == (height, size), text
+
+
+# The tokenizer as first written: one anchored match per token, with no
+# catch-all group, and an error wherever no token matches.
+_ORACLE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<lparen>\()"
+    r"|(?P<rparen>\))"
+    r"|(?P<iff><->)"
+    r"|(?P<implies>->)"
+    r"|(?P<not>!)"
+    r"|(?P<and>&)"
+    r"|(?P<or>\|)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+)
+
+
+def _oracle_tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col_offset + pos + 1)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), col_offset + m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+def _token_triples(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
+    return [(t.kind, t.text, t.column) for t in _tokenize(text, line, col_offset)]
+
+
+def _outcome(tokenize, text: str, line: int, col_offset: int):
+    """The (kind, text, column) list, or the error's message, line and column."""
+    try:
+        return tokenize(text, line, col_offset)
+    except ParseError as e:
+        return (e.message, e.line, e.column)
+
+
+class TestTokenizerDifferential:
+    """The one-pass tokenizer against the match loop it replaced."""
+
+    @given(
+        st.text(alphabet="abxAZ019_()!&|<->~ \t\n\u00e9", max_size=30),
+        st.integers(0, 3),
+        st.integers(0, 20),
+    )
+    @example("a <-> b -> c", 0, 0)
+    @example("a < b", 2, 7)
+    @example("a -\n> b", 1, 0)
+    @example("\u00e9", 0, 0)
+    @example("a ~ b", 0, 0)
+    @example("  \t", 0, 0)
+    @example("", 0, 0)
+    def test_same_tokens_or_same_error(self, text, line, col_offset):
+        want = _outcome(_oracle_tokenize, text, line, col_offset)
+        assert _outcome(_token_triples, text, line, col_offset) == want, text
+
+
+class TestSharedAtomLeaves:
+    def test_parsed_atoms_are_the_shared_leaves(self):
+        f = parse_formula("a & !b | a", AB)
+        assert f.left.left is ATOMS[0]
+        assert f.left.right.child is ATOMS[1]
+        assert f.right is ATOMS[0]
+        assert parse_formula("b", AB) is ATOMS[1]
+        assert AB.atom(1) is ATOMS[1]
+
+    def test_equality_and_repr_unchanged(self):
+        f = parse_formula("a & !b | a", AB)
+        want = Or(And(Atom(0), Not(Atom(1))), Atom(0))
+        assert f == want
+        assert hash(f) == hash(want)
+        assert repr(f) == repr(want) == "Or(And(Atom(0), Not(Atom(1))), Atom(0))"
+
+    def test_atom_constructor_builds_a_new_equal_node(self):
+        fresh = Atom(0)
+        assert fresh is not ATOMS[0]
+        assert fresh == ATOMS[0] and hash(fresh) == hash(ATOMS[0])
+        assert model_mask(fresh, 2) == model_mask(ATOMS[0], 2)
+        assert all(leaf.index == i for i, leaf in enumerate(ATOMS))
 
 
 class TestKbParsing:
