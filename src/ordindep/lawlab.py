@@ -7,18 +7,17 @@ proved, but a law that fails is definitively refuted, and every reported
 counterexample is re-verified through the plain scalar implementations
 before it is returned.
 
-Every predicate runs through ScalarOps, a thin adapter over the ordinary
-library calls in ``measures`` and ``independence``.  Those calls read a
-distribution only through ``vocab``, ``top`` and ``poss_mask``, so the
-checker hands ScalarOps a DistEnsemble, whose ``poss_mask`` returns one
-level per enumerated distribution as a numpy row, to sweep them all at
-once, and then a concrete Dist to confirm the first failure.  No measure
-or relation formula is written out a second time here, and no composition
-law either: the criteria table's cells and the catalog laws that state a
-cell all come from ``composition_predicate``.  The relation-axiom probe
-sweeps the same event table: one strong-independence call over every
-event pair gives each distribution's dependence relation, and the axioms
-are checked on that relation as an event x event dependence matrix.
+Each law is written once, as a statement (``Law.note``) in a small
+grammar over the ScalarOps methods and ``top``, and compiled at import into
+the predicate that is checked; the criteria table's cells are generated
+statements on the same path.  ScalarOps adapts the library calls in
+``measures`` and ``independence``, which read a distribution only through
+``vocab``, ``top`` and ``poss_mask``: the checker hands it a DistEnsemble,
+whose ``poss_mask`` returns one level per enumerated distribution as a
+numpy row, to sweep them all at once, and then a concrete Dist to confirm
+the first failure.  The relation-axiom probe reads every distribution's
+dependence relation off the same event table and checks the axioms on it
+as an event x event matrix.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -27,26 +26,15 @@ the first two atoms.  Sizes: 4 formulas at n=1, 14 at n=2, 16 at n=3.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .logic import (
-    FALSE,
-    TRUE,
-    And,
-    Formula,
-    Not,
-    Or,
-    Record,
-    Vocabulary,
-    format_formula,
-    full_mask,
-    model_mask,
-)
+from .logic import FALSE, TRUE, And, Formula, Not, Or, Record, Vocabulary, format_formula, full_mask, model_mask
 from . import independence as indep
 from . import measures
 from .measures import Dist
@@ -137,7 +125,12 @@ class DistEnsemble:
 class ScalarOps:
     """The measures and relations a law predicate may use, bound to one
     distribution source: a Dist gives plain ints and bools, a DistEnsemble
-    gives one numpy row per call, via the same library calls."""
+    gives one numpy row per call, via the same library calls.
+
+    ``entails_classically`` reads no distribution, so it returns one bool
+    with no distribution axis on either source; ``check_law`` broadcasts a
+    scalar truth value, reading it as that verdict in every distribution,
+    so a failing one points at distribution 0."""
 
     def __init__(self, dist: Dist | DistEnsemble):
         self.dist = dist
@@ -175,20 +168,11 @@ class ScalarOps:
         return (model_mask(a, n) & (full_mask(n) ^ model_mask(b, n))) == 0
 
 
-def _imp(p, q):
-    return np.logical_or(np.logical_not(p), q)
-
-
-def _iff(p, q):
-    return np.logical_not(np.logical_xor(np.asarray(p, dtype=bool), np.asarray(q, dtype=bool)))
-
-
 class Law(Record):
-    """One universally quantified candidate property.
-
-    The predicate takes an ops backend plus `arity` formulas and returns
-    per-distribution truth; the note is a one-line human statement.
-    """
+    """One universally quantified candidate property, written once: ``note``
+    is its statement and ``predicate`` what the statement compiles to, a
+    function of an ops backend and ``arity`` formulas (the statement's free
+    variables) returning per-distribution truth."""
 
     law_id: str
     arity: int
@@ -219,6 +203,103 @@ class LawReport(Record):
     counterexample: Optional[Counterexample]
 
 
+# -- law statements ------------------------------------------------------
+
+# A statement is a Python expression over three sorts: formulas ("f": a, b,
+# c, true, false, ~, & and |), levels ("l": poss, nec, cond_poss, cond_nec,
+# max, min, 0 and top) and truth values ("t": the relation tests, entails,
+# one comparison of two levels, and, or, not, implies and iff).  The tables
+# map each callee, name and operator to its sort and the code it becomes;
+# on truth values implies(p, q) is p <= q and iff(p, q) is p == q.
+_SIGNATURES = {
+    "poss": ("l", "f", "o.poss"),
+    "nec": ("l", "f", "o.nec"),
+    "cond_poss": ("l", "ff", "o.cond_poss"),
+    "cond_nec": ("l", "ff", "o.cond_nec"),
+    "max": ("l", "ll", "np.maximum"),
+    "min": ("l", "ll", "np.minimum"),
+    "related_z": ("t", "ff", "o.related_z"),
+    "strong_indep": ("t", "ff", "o.strong_indep"),
+    "strong_indep_direct": ("t", "ff", "o.strong_indep_direct"),
+    "weak_indep": ("t", "ff", "o.weak_indep"),
+    "weak_indep_direct": ("t", "ff", "o.weak_indep_direct"),
+    "entails": ("t", "ff", "o.entails_classically"),
+    "implies": ("t", "tt", "np.less_equal"),
+    "iff": ("t", "tt", "np.equal"),
+}
+_NAMES = {
+    "a": ("f", "a"),
+    "b": ("f", "b"),
+    "c": ("f", "c"),
+    "true": ("f", "TRUE"),
+    "false": ("f", "FALSE"),
+    "top": ("l", "o.top"),
+}
+_OPERATORS = {  # an operator's operands have its sort
+    ast.Invert: ("f", "Not"),
+    ast.BitAnd: ("f", "And"),
+    ast.BitOr: ("f", "Or"),
+    ast.Not: ("t", "np.logical_not"),
+}
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_SORT_NAMES = {"f": "a formula", "l": "a level", "t": "a truth value"}
+_STATEMENT_GLOBALS = {"__builtins__": {}, "np": np, "And": And, "Or": Or, "Not": Not, "TRUE": TRUE, "FALSE": FALSE}
+
+
+@lru_cache(maxsize=None)
+def _expr(text: str) -> ast.expr:
+    # trees share these nodes: compile only reads them, and
+    # fix_missing_locations only fills in positions, all on line 1
+    return ast.parse(text, mode="eval").body
+
+
+def _rewrite(node: ast.AST, sort: str) -> ast.expr:
+    """The code a statement's node becomes, if it has the given sort."""
+    kind = type(node)
+    name = node.func.id if kind is ast.Call and type(node.func) is ast.Name else None
+    if name in _SIGNATURES and _SIGNATURES[name][0] == sort:
+        _, sorts, callee = _SIGNATURES[name]
+        if len(node.args) != len(sorts) or node.keywords:
+            raise ValueError(f"{name} takes {len(sorts)} argument(s), got {ast.unparse(node)!r}")
+        return ast.Call(func=_expr(callee), args=list(map(_rewrite, node.args, sorts)), keywords=[])
+    if kind in (ast.UnaryOp, ast.BinOp) and _OPERATORS.get(type(node.op), ("",))[0] == sort:
+        operands = [node.operand] if kind is ast.UnaryOp else [node.left, node.right]
+        args = [_rewrite(operand, sort) for operand in operands]
+        return ast.Call(func=_expr(_OPERATORS[type(node.op)][1]), args=args, keywords=[])
+    if kind is ast.Name and _NAMES.get(node.id, ("",))[0] == sort:
+        return _expr(_NAMES[node.id][1])
+    if sort == "l" and kind is ast.Constant and type(node.value) is int and node.value == 0:
+        return _expr("0")
+    if sort == "t" and kind is ast.BoolOp:  # and/or become & and |, as on numpy rows
+        op = ast.BitAnd() if type(node.op) is ast.And else ast.BitOr()
+        return reduce(lambda p, q: ast.BinOp(left=p, op=op, right=q), (_rewrite(v, "t") for v in node.values))
+    if sort == "t" and kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _COMPARISONS:
+        left, right = _rewrite(node.left, "l"), _rewrite(node.comparators[0], "l")
+        return ast.Compare(left=left, ops=node.ops, comparators=[right])
+    raise ValueError(f"expected {_SORT_NAMES[sort]}, got {ast.unparse(node)!r}")
+
+
+def _law(law_id: str, statement: str) -> Law:
+    """Sort-check a statement and compile it into its law.  The predicate
+    is a lambda over ``o`` (a ScalarOps, whose methods it looks up at call
+    time) and the statement's free variables in a, b, c order; its globals
+    hold only numpy and the formula constructors and constants."""
+    try:
+        tree = ast.parse(statement, mode="eval")
+        body = _rewrite(tree.body, "t")
+    except (SyntaxError, ValueError) as e:
+        raise ValueError(f"law statement {statement!r}: {e}") from None
+    # every a, b or c left in a checked statement is a formula variable
+    free = {node.id for node in ast.walk(tree) if type(node) is ast.Name and node.id in LAB_ATOM_NAMES}
+    # a parsed lambda supplies the arguments node, whose constructor varies across Python versions
+    expression = ast.parse("lambda o, a, b, c: 0", mode="eval")
+    lam = expression.body
+    lam.args.args = [arg for arg in lam.args.args if arg.arg == "o" or arg.arg in free]
+    lam.body = body
+    code = compile(ast.fix_missing_locations(expression), "<law statement>", "eval")
+    return Law(law_id, len(free), statement, eval(code, _STATEMENT_GLOBALS))
+
+
 # -- composition criteria ----------------------------------------------
 
 # criterion -> (states dependence?, connective, joins the second argument?):
@@ -236,479 +317,125 @@ CRITERIA: dict[str, tuple[bool, type, bool]] = {
 }
 
 # Each relation's independence test; dependence is its negation.
-RELATIONS: dict[str, Callable] = {
-    "Zadeh": lambda o, x, y: np.logical_not(o.related_z(x, y)),
-    "Strong": lambda o, x, y: o.strong_indep(x, y),
-    "Weak": lambda o, x, y: o.weak_indep(x, y),
+RELATIONS: dict[str, str] = {
+    "Zadeh": "not related_z({}, {})",
+    "Strong": "strong_indep({}, {})",
+    "Weak": "weak_indep({}, {})",
 }
+
+
+def _cell(relation: str, criterion: str) -> str:
+    """The statement of one relation x criterion cell."""
+    test = RELATIONS[relation]
+    dependence, join, second = CRITERIA[criterion]
+    if dependence:  # a double negation cancels
+        test = test[4:] if test.startswith("not ") else "not " + test
+    op = " & " if join is And else " | "
+    pairs = (("a", "b"), ("a", "c"), ("a", f"b{op}c")) if second else (("a", "c"), ("b", "c"), (f"a{op}b", "c"))
+    first, other, conclusion = (test.format(*pair) for pair in pairs)
+    return f"implies({first} and {other}, {conclusion})"
 
 
 def composition_predicate(relation: str, criterion: str) -> Callable:
     """The law predicate of one relation x criterion cell, arity 3."""
-    ind = RELATIONS[relation]
-    dependence, join, second = CRITERIA[criterion]
-
-    def rel(o, x, y):
-        return np.logical_not(ind(o, x, y)) if dependence else ind(o, x, y)
-
-    if second:
-        return lambda o, a, b, c: _imp(rel(o, a, b) & rel(o, a, c), rel(o, a, join(b, c)))
-    return lambda o, a, b, c: _imp(rel(o, a, c) & rel(o, b, c), rel(o, join(a, b), c))
+    return _law("", _cell(relation, criterion)).predicate
 
 
-def _catalog() -> tuple[Law, ...]:
-    laws: list[Law] = []
+# -- the catalog -----------------------------------------------------------
 
-    def add(law_id: str, arity: int, note: str, predicate: Callable):
-        laws.append(Law(law_id, arity, note, predicate))
+# (law id, statement), in catalog order.  The eight cell laws are their
+# cells' statements; strong-symmetric, strong-negation-transparent,
+# weak-min-form-not-implied and weak-contraposition-split state what the
+# relations would satisfy and are refuted.
+_STATEMENTS: tuple[tuple[str, str], ...] = (
+    # measure layer
+    ("poss-disjunction-max", "poss(a | b) == max(poss(a), poss(b))"),
+    ("nec-conjunction-min", "nec(a & b) == min(nec(a), nec(b))"),
+    ("poss-normalization", "max(poss(a), poss(~a)) == top"),
+    ("acceptance-one-sided", "implies(nec(a) > 0, nec(~a) == 0)"),
+    ("qpo-nontriviality", "poss(true) > poss(false)"),
+    ("qpo-tautology", "poss(true) >= poss(a)"),
+    ("qpo-transitivity", "implies(poss(a) >= poss(b) and poss(b) >= poss(c), poss(a) >= poss(c))"),
+    ("qpo-disjunctiveness", "poss(a | b) <= poss(a) or poss(a | b) <= poss(b)"),
+    ("qpo-dominance", "implies(entails(a, b), poss(a) <= poss(b))"),
+    ("cond-impossible-antecedent", "implies(poss(a) == 0, cond_poss(c, a) == top)"),
+    ("cond-full-conjunction", "implies(poss(a & c) == top, cond_poss(c, a) == top)"),
+    ("cond-impossible-conclusion", "implies(poss(a) > 0 and poss(c) == 0, cond_poss(c, a) == 0)"),
+    ("cond-self-contradiction-top", "iff(cond_poss(c, ~c) == top, poss(~c) == 0)"),
+    ("cond-self-contradiction-zero", "iff(cond_poss(c, ~c) == 0, poss(~c) > 0)"),
+    ("cond-min-decomposition", "min(cond_poss(c, a), poss(a)) == poss(a & c)"),
+    ("acceptance-strict-comparison", "iff(cond_nec(c, a) > 0, poss(a & c) > poss(a & ~c))"),
+    ("cond-nec-material-when-positive", "implies(cond_nec(c, a) > 0, cond_nec(c, a) == nec(~a | c))"),
+    # Zadeh relatedness
+    ("zadeh-unrelated-cell-bound", "iff(not related_z(a, c), poss(a & c) >= min(poss(a & ~c), poss(~a & c)))"),
+    ("zadeh-related-mutual-rejection", "iff(related_z(a, c), cond_nec(~c, a) > 0 and cond_nec(~a, c) > 0)"),
+    ("zadeh-symmetry", "iff(related_z(a, c), related_z(c, a))"),
+    ("zadeh-split-disjunction-conclusion", _cell("Zadeh", "DCI-r")),
+    ("zadeh-split-disjunction-antecedent", _cell("Zadeh", "DCI")),
+    ("zadeh-merge-disjunction-antecedent", _cell("Zadeh", "DCD")),
+    ("zadeh-merge-disjunction-conclusion", _cell("Zadeh", "DCD-r")),
+    ("zadeh-false-unrelated", "not related_z(false, a)"),
+    ("zadeh-true-unrelated", "not related_z(true, a)"),
+    ("zadeh-self-unrelated", "not related_z(a, a)"),
+    ("zadeh-negation-pair", "iff(not related_z(a, ~a), poss(a) == 0 or poss(~a) == 0)"),
+    ("zadeh-absorption-unrelated", "not related_z(a | c, a)"),
+    # strong independence
+    ("strong-defs-agree", "iff(strong_indep(a, c), strong_indep_direct(a, c))"),
+    ("strong-necessity-cases",
+     "iff(cond_nec(c, a) == nec(c), max(poss(~a & ~c), poss(a & ~c)) == top and poss(a & ~c) >= poss(a & c)"
+     " or poss(a & c) > poss(a & ~c) and poss(a & ~c) >= poss(~a & ~c))"
+     " and iff(max(poss(~a & ~c), poss(a & ~c)) == top and poss(a & ~c) >= poss(a & c),"
+     " cond_nec(c, a) == 0 and nec(c) == 0)"
+     " and iff(poss(a & c) > poss(a & ~c) and poss(a & ~c) >= poss(~a & ~c), cond_nec(c, a) == nec(c) and nec(c) > 0)"),
+    ("strong-char-min-form", "iff(strong_indep(a, c), poss(a & ~c) == min(poss(a), poss(~c)) and poss(~c) < poss(a))"),
+    ("strong-dep-char-negation", "iff(not strong_indep(a, c), poss(a) <= poss(~c) or poss(~c) > poss(a & ~c))"),
+    ("strong-implies-conjunction-min", "implies(strong_indep(a, c), poss(a & c) == min(poss(a), poss(c)))"),
+    ("strong-blocked-by-negation-level", "implies(poss(~c) >= poss(a), not strong_indep(a, c))"),
+    ("strong-dep-conjunction-split", _cell("Strong", "CCI-r")),
+    ("strong-dep-antecedent-split", _cell("Strong", "DCI")),
+    ("strong-dep-disjunction-merge", _cell("Strong", "DCD")),
+    ("strong-dep-consequent-merge", _cell("Strong", "CCD-r")),
+    ("strong-false-antecedent-dep", "not strong_indep(false, c)"),
+    ("strong-true-antecedent", "iff(strong_indep(true, c), nec(c) > 0)"),
+    ("strong-false-consequent-dep", "not strong_indep(a, false)"),
+    ("strong-true-consequent", "iff(strong_indep(a, true), poss(a) > 0)"),
+    ("strong-disjoint-conjunctions-dep", "not strong_indep(a & b, ~b & c)"),
+    ("strong-exclusion-dep", "implies(entails(a, ~c), not strong_indep(a, c))"),
+    ("strong-order-embedding-strict", "iff(strong_indep(a | c, ~c), poss(a) > poss(c))"),
+    ("strong-self", "iff(strong_indep(a, a), nec(a) == top)"),
+    ("strong-impossible-antecedent-dep", "implies(poss(a) == 0, not strong_indep(a, c))"),
+    ("strong-certain-negation-dep", "implies(poss(c) == top, not strong_indep(a, ~c))"),
+    ("strong-contraposition-split", "not strong_indep(a, c) or not strong_indep(~c, ~a)"),
+    ("strong-order-embedding-weak-form", "iff(not strong_indep(a | c, ~a), poss(a) >= poss(c))"),
+    ("nec-order-embedding", "iff(not strong_indep(~a | ~c, c), nec(a) >= nec(c))"),
+    ("dep-axiom-tautology-pair", "strong_indep(true, true)"),
+    ("dep-axiom-transitivity",
+     "implies(not strong_indep(a | b, ~b) and not strong_indep(b | c, ~c), not strong_indep(a | c, ~c))"),
+    ("dep-axiom-self-negation", "not strong_indep(a, ~a)"),
+    ("strong-symmetric", "iff(strong_indep(a, c), strong_indep(c, a))"),
+    ("strong-negation-transparent", "implies(strong_indep(a, c), strong_indep(a, ~c))"),
+    ("strong-via-zadeh-negation", "iff(strong_indep(a, c), not related_z(a, ~c) and poss(~c) < poss(a))"),
+    # weak independence
+    ("weak-defs-agree", "iff(weak_indep(a, c), weak_indep_direct(a, c))"),
+    ("weak-strong-decomposition", "iff(strong_indep(a, c), weak_indep(a, c) and poss(a & ~c) == poss(~c))"),
+    ("weak-implies-unrelated", "implies(weak_indep(a, c), not related_z(a, c))"),
+    ("strong-implies-weak", "implies(strong_indep(a, c), weak_indep(a, c))"),
+    ("weak-min-form-not-implied", "implies(weak_indep(a, c), poss(a & ~c) == min(poss(a), poss(~c)))"),
+    ("weak-self", "iff(weak_indep(a, a), nec(a) > 0)"),
+    ("weak-contraposition-split", "not weak_indep(a, c) or not weak_indep(~c, ~a)"),
+    ("weak-contraposition-pair-char",
+     "iff(weak_indep(a, c) and weak_indep(~c, ~a),"
+     " poss(~a & c) > max(poss(a & c), poss(~a & ~c)) and min(poss(a & c), poss(~a & ~c)) > poss(a & ~c))"),
+    ("weak-or-merge-printed", "implies(weak_indep(a, c) or weak_indep(b, c), weak_indep(a | b, c))"),
+    ("weak-or-conjunction-printed", "implies(weak_indep(a, b) or weak_indep(a, c), weak_indep(a, b & c))"),
+    ("weak-conjunction-iff", "iff(weak_indep(a, b & c), weak_indep(a, b) and weak_indep(a, c))"),
+    ("weak-disjunction-iff", "iff(weak_indep(a | b, c), weak_indep(a, c) and weak_indep(b, c))"),
+    ("weak-strong-collapse-on-cover", "iff(weak_indep(a | ~c, c), strong_indep(a | ~c, c))"),
+    # plausible inference
+    ("rational-monotony", "implies(cond_nec(a, b) > 0 and cond_nec(~c, b) == 0, cond_nec(a, b & c) > 0)"),
+)
 
-    # a law that is a table cell; its note may state the contrapositive
-    def cell(law_id: str, relation: str, criterion: str, note: str):
-        add(law_id, 3, note, composition_predicate(relation, criterion))
-
-    # -- measure layer ------------------------------------------------
-
-    add(
-        "poss-disjunction-max", 2,
-        "poss(a|b) = max(poss(a), poss(b))",
-        lambda o, a, b: o.poss(Or(a, b)) == np.maximum(o.poss(a), o.poss(b)),
-    )
-    add(
-        "nec-conjunction-min", 2,
-        "nec(a&b) = min(nec(a), nec(b))",
-        lambda o, a, b: o.nec(And(a, b)) == np.minimum(o.nec(a), o.nec(b)),
-    )
-    add(
-        "poss-normalization", 1,
-        "max(poss(a), poss(!a)) = top",
-        lambda o, a: np.maximum(o.poss(a), o.poss(Not(a))) == o.top,
-    )
-    add(
-        "acceptance-one-sided", 1,
-        "nec(a) > 0 implies nec(!a) = 0",
-        lambda o, a: _imp(o.nec(a) > 0, o.nec(Not(a)) == 0),
-    )
-    add(
-        "qpo-nontriviality", 0,
-        "poss(true) > poss(false)",
-        lambda o: o.poss(TRUE) > o.poss(FALSE),
-    )
-    add(
-        "qpo-tautology", 1,
-        "poss(true) >= poss(a)",
-        lambda o, a: o.poss(TRUE) >= o.poss(a),
-    )
-    add(
-        "qpo-transitivity", 3,
-        "poss(a) >= poss(b) and poss(b) >= poss(c) imply poss(a) >= poss(c)",
-        lambda o, a, b, c: _imp(
-            (o.poss(a) >= o.poss(b)) & (o.poss(b) >= o.poss(c)), o.poss(a) >= o.poss(c)
-        ),
-    )
-    add(
-        "qpo-disjunctiveness", 2,
-        "poss(a|b) <= poss(a) or poss(a|b) <= poss(b)",
-        lambda o, a, b: (o.poss(Or(a, b)) <= o.poss(a)) | (o.poss(Or(a, b)) <= o.poss(b)),
-    )
-    add(
-        "qpo-dominance", 2,
-        "a entails b classically implies poss(a) <= poss(b)",
-        lambda o, a, b: _imp(o.entails_classically(a, b), o.poss(a) <= o.poss(b)),
-    )
-    add(
-        "cond-impossible-antecedent", 2,
-        "poss(a) = 0 implies cond_poss(c, a) = top",
-        lambda o, a, c: _imp(o.poss(a) == 0, o.cond_poss(c, a) == o.top),
-    )
-    add(
-        "cond-full-conjunction", 2,
-        "poss(a&c) = top implies cond_poss(c, a) = top",
-        lambda o, a, c: _imp(o.poss(And(a, c)) == o.top, o.cond_poss(c, a) == o.top),
-    )
-    add(
-        "cond-impossible-conclusion", 2,
-        "poss(a) > 0 and poss(c) = 0 imply cond_poss(c, a) = 0",
-        lambda o, a, c: _imp((o.poss(a) > 0) & (o.poss(c) == 0), o.cond_poss(c, a) == 0),
-    )
-    add(
-        "cond-self-contradiction-top", 1,
-        "cond_poss(c, !c) = top iff poss(!c) = 0",
-        lambda o, c: _iff(o.cond_poss(c, Not(c)) == o.top, o.poss(Not(c)) == 0),
-    )
-    add(
-        "cond-self-contradiction-zero", 1,
-        "cond_poss(c, !c) = 0 iff poss(!c) > 0",
-        lambda o, c: _iff(o.cond_poss(c, Not(c)) == 0, o.poss(Not(c)) > 0),
-    )
-    add(
-        "cond-min-decomposition", 2,
-        "min(cond_poss(c, a), poss(a)) = poss(a&c)",
-        lambda o, a, c: np.minimum(o.cond_poss(c, a), o.poss(a)) == o.poss(And(a, c)),
-    )
-    add(
-        "acceptance-strict-comparison", 2,
-        "cond_nec(c, a) > 0 iff poss(a&c) > poss(a&!c)",
-        lambda o, a, c: _iff(
-            o.cond_nec(c, a) > 0, o.poss(And(a, c)) > o.poss(And(a, Not(c)))
-        ),
-    )
-    add(
-        "cond-nec-material-when-positive", 2,
-        "cond_nec(c, a) > 0 implies cond_nec(c, a) = nec(!a|c)",
-        lambda o, a, c: _imp(
-            o.cond_nec(c, a) > 0, o.cond_nec(c, a) == o.nec(Or(Not(a), c))
-        ),
-    )
-
-    # -- Zadeh relatedness --------------------------------------------
-
-    add(
-        "zadeh-unrelated-cell-bound", 2,
-        "unrelated iff poss(a&c) >= min(poss(a&!c), poss(!a&c))",
-        lambda o, a, c: _iff(
-            np.logical_not(o.related_z(a, c)),
-            o.poss(And(a, c))
-            >= np.minimum(o.poss(And(a, Not(c))), o.poss(And(Not(a), c))),
-        ),
-    )
-    add(
-        "zadeh-related-mutual-rejection", 2,
-        "related iff cond_nec(!c, a) > 0 and cond_nec(!a, c) > 0",
-        lambda o, a, c: _iff(
-            o.related_z(a, c),
-            (o.cond_nec(Not(c), a) > 0) & (o.cond_nec(Not(a), c) > 0),
-        ),
-    )
-    add(
-        "zadeh-symmetry", 2,
-        "related(a, c) iff related(c, a)",
-        lambda o, a, c: _iff(o.related_z(a, c), o.related_z(c, a)),
-    )
-    cell("zadeh-split-disjunction-conclusion", "Zadeh", "DCI-r",
-         "related(a, b|c) implies related(a, b) or related(a, c)")
-    cell("zadeh-split-disjunction-antecedent", "Zadeh", "DCI",
-         "related(a|b, c) implies related(a, c) or related(b, c)")
-    cell("zadeh-merge-disjunction-antecedent", "Zadeh", "DCD",
-         "related(a, c) and related(b, c) imply related(a|b, c)")
-    cell("zadeh-merge-disjunction-conclusion", "Zadeh", "DCD-r",
-         "related(a, b) and related(a, c) imply related(a, b|c)")
-    add(
-        "zadeh-false-unrelated", 1,
-        "false is unrelated to everything",
-        lambda o, a: np.logical_not(o.related_z(FALSE, a)),
-    )
-    add(
-        "zadeh-true-unrelated", 1,
-        "true is unrelated to everything",
-        lambda o, a: np.logical_not(o.related_z(TRUE, a)),
-    )
-    add(
-        "zadeh-self-unrelated", 1,
-        "a is unrelated to itself",
-        lambda o, a: np.logical_not(o.related_z(a, a)),
-    )
-    add(
-        "zadeh-negation-pair", 1,
-        "a unrelated to !a iff poss(a) = 0 or poss(!a) = 0",
-        lambda o, a: _iff(
-            np.logical_not(o.related_z(a, Not(a))),
-            (o.poss(a) == 0) | (o.poss(Not(a)) == 0),
-        ),
-    )
-    add(
-        "zadeh-absorption-unrelated", 2,
-        "a|c is unrelated to a",
-        lambda o, a, c: np.logical_not(o.related_z(Or(a, c), a)),
-    )
-
-    # -- strong independence ------------------------------------------
-
-    add(
-        "strong-defs-agree", 2,
-        "conditional-necessity and cell forms of strong independence coincide",
-        lambda o, a, c: _iff(o.strong_indep(a, c), o.strong_indep_direct(a, c)),
-    )
-
-    def necessity_cases(o, a, c):
-        cn = o.cond_nec(c, a)
-        n0 = o.nec(c)
-        pac = o.poss(And(a, c))
-        panc = o.poss(And(a, Not(c)))
-        pnanc = o.poss(And(Not(a), Not(c)))
-        case_i = (np.maximum(pnanc, panc) == o.top) & (panc >= pac)
-        case_ii = (pac > panc) & (panc >= pnanc)
-        out = _iff(cn == n0, np.logical_or(case_i, case_ii))
-        out = np.logical_and(out, _iff(case_i, (cn == 0) & (n0 == 0)))
-        return np.logical_and(out, _iff(case_ii, (cn == n0) & (n0 > 0)))
-
-    add(
-        "strong-necessity-cases", 2,
-        "cond_nec(c,a) = nec(c) splits into the zero case and the strict case",
-        necessity_cases,
-    )
-    add(
-        "strong-char-min-form", 2,
-        "strong iff poss(a&!c) = min(poss(a), poss(!c)) and poss(!c) < poss(a)",
-        lambda o, a, c: _iff(
-            o.strong_indep(a, c),
-            (o.poss(And(a, Not(c))) == np.minimum(o.poss(a), o.poss(Not(c))))
-            & (o.poss(Not(c)) < o.poss(a)),
-        ),
-    )
-    add(
-        "strong-dep-char-negation", 2,
-        "dependent iff poss(a) <= poss(!c) or poss(!c) > poss(a&!c)",
-        lambda o, a, c: _iff(
-            np.logical_not(o.strong_indep(a, c)),
-            (o.poss(a) <= o.poss(Not(c))) | (o.poss(Not(c)) > o.poss(And(a, Not(c)))),
-        ),
-    )
-    add(
-        "strong-implies-conjunction-min", 2,
-        "strong independence forces poss(a&c) = min(poss(a), poss(c))",
-        lambda o, a, c: _imp(
-            o.strong_indep(a, c),
-            o.poss(And(a, c)) == np.minimum(o.poss(a), o.poss(c)),
-        ),
-    )
-    add(
-        "strong-blocked-by-negation-level", 2,
-        "poss(!c) >= poss(a) forces dependence",
-        lambda o, a, c: _imp(
-            o.poss(Not(c)) >= o.poss(a), np.logical_not(o.strong_indep(a, c))
-        ),
-    )
-    cell("strong-dep-conjunction-split", "Strong", "CCI-r",
-         "dep(a, b&c) implies dep(a, b) or dep(a, c)")
-    cell("strong-dep-antecedent-split", "Strong", "DCI",
-         "dep(a|b, c) implies dep(a, c) or dep(b, c)")
-    cell("strong-dep-disjunction-merge", "Strong", "DCD",
-         "dep(a, c) and dep(b, c) imply dep(a|b, c)")
-    cell("strong-dep-consequent-merge", "Strong", "CCD-r",
-         "dep(a, b) and dep(a, c) imply dep(a, b&c)")
-    add(
-        "strong-false-antecedent-dep", 1,
-        "false is dependent with everything (antecedent side)",
-        lambda o, c: np.logical_not(o.strong_indep(FALSE, c)),
-    )
-    add(
-        "strong-true-antecedent", 1,
-        "true is strongly independent of c iff nec(c) > 0",
-        lambda o, c: _iff(o.strong_indep(TRUE, c), o.nec(c) > 0),
-    )
-    add(
-        "strong-false-consequent-dep", 1,
-        "everything is dependent with false (consequent side)",
-        lambda o, a: np.logical_not(o.strong_indep(a, FALSE)),
-    )
-    add(
-        "strong-true-consequent", 1,
-        "a is strongly independent of true iff poss(a) > 0",
-        lambda o, a: _iff(o.strong_indep(a, TRUE), o.poss(a) > 0),
-    )
-    add(
-        "strong-disjoint-conjunctions-dep", 3,
-        "a&b is dependent with !b&c",
-        lambda o, a, b, c: np.logical_not(o.strong_indep(And(a, b), And(Not(b), c))),
-    )
-    add(
-        "strong-exclusion-dep", 2,
-        "a entailing !c classically forces dependence",
-        lambda o, a, c: _imp(
-            o.entails_classically(a, Not(c)), np.logical_not(o.strong_indep(a, c))
-        ),
-    )
-    add(
-        "strong-order-embedding-strict", 2,
-        "strong_indep(a|c, !c) iff poss(a) > poss(c)",
-        lambda o, a, c: _iff(o.strong_indep(Or(a, c), Not(c)), o.poss(a) > o.poss(c)),
-    )
-    add(
-        "strong-self", 1,
-        "a is strongly independent of itself iff nec(a) = top",
-        lambda o, a: _iff(o.strong_indep(a, a), o.nec(a) == o.top),
-    )
-    add(
-        "strong-impossible-antecedent-dep", 2,
-        "poss(a) = 0 forces dependence",
-        lambda o, a, c: _imp(o.poss(a) == 0, np.logical_not(o.strong_indep(a, c))),
-    )
-    add(
-        "strong-certain-negation-dep", 2,
-        "poss(c) = top forces dependence of anything with !c",
-        lambda o, a, c: _imp(
-            o.poss(c) == o.top, np.logical_not(o.strong_indep(a, Not(c)))
-        ),
-    )
-    add(
-        "strong-contraposition-split", 2,
-        "dep(a, c) or dep(!c, !a)",
-        lambda o, a, c: np.logical_not(o.strong_indep(a, c))
-        | np.logical_not(o.strong_indep(Not(c), Not(a))),
-    )
-    add(
-        "strong-order-embedding-weak-form", 2,
-        "dep(a|c, !a) iff poss(a) >= poss(c)",
-        lambda o, a, c: _iff(
-            np.logical_not(o.strong_indep(Or(a, c), Not(a))), o.poss(a) >= o.poss(c)
-        ),
-    )
-    add(
-        "nec-order-embedding", 2,
-        "dep(!a|!c, c) iff nec(a) >= nec(c)",
-        lambda o, a, c: _iff(
-            np.logical_not(o.strong_indep(Or(Not(a), Not(c)), c)),
-            o.nec(a) >= o.nec(c),
-        ),
-    )
-    add(
-        "dep-axiom-tautology-pair", 0,
-        "true is strongly independent of true",
-        lambda o: o.strong_indep(TRUE, TRUE),
-    )
-    add(
-        "dep-axiom-transitivity", 3,
-        "dep(a|b, !b) and dep(b|c, !c) imply dep(a|c, !c)",
-        lambda o, a, b, c: _imp(
-            np.logical_not(o.strong_indep(Or(a, b), Not(b)))
-            & np.logical_not(o.strong_indep(Or(b, c), Not(c))),
-            np.logical_not(o.strong_indep(Or(a, c), Not(c))),
-        ),
-    )
-    add(
-        "dep-axiom-self-negation", 1,
-        "a is dependent with !a",
-        lambda o, a: np.logical_not(o.strong_indep(a, Not(a))),
-    )
-    add(
-        "strong-symmetric", 2,
-        "strong independence would be symmetric (it is not)",
-        lambda o, a, c: _iff(o.strong_indep(a, c), o.strong_indep(c, a)),
-    )
-    add(
-        "strong-negation-transparent", 2,
-        "strong_indep(a, c) would imply strong_indep(a, !c) (it does not)",
-        lambda o, a, c: _imp(o.strong_indep(a, c), o.strong_indep(a, Not(c))),
-    )
-    add(
-        "strong-via-zadeh-negation", 2,
-        "strong iff unrelated to the negation and poss(!c) < poss(a)",
-        lambda o, a, c: _iff(
-            o.strong_indep(a, c),
-            np.logical_not(o.related_z(a, Not(c))) & (o.poss(Not(c)) < o.poss(a)),
-        ),
-    )
-
-    # -- weak independence --------------------------------------------
-
-    add(
-        "weak-defs-agree", 2,
-        "conditional-necessity and cell forms of weak independence coincide",
-        lambda o, a, c: _iff(o.weak_indep(a, c), o.weak_indep_direct(a, c)),
-    )
-    add(
-        "weak-strong-decomposition", 2,
-        "strong iff weak plus poss(a&!c) = poss(!c)",
-        lambda o, a, c: _iff(
-            o.strong_indep(a, c),
-            o.weak_indep(a, c) & (o.poss(And(a, Not(c))) == o.poss(Not(c))),
-        ),
-    )
-    add(
-        "weak-implies-unrelated", 2,
-        "weak independence implies unrelatedness",
-        lambda o, a, c: _imp(o.weak_indep(a, c), np.logical_not(o.related_z(a, c))),
-    )
-    add(
-        "strong-implies-weak", 2,
-        "strong independence implies weak independence",
-        lambda o, a, c: _imp(o.strong_indep(a, c), o.weak_indep(a, c)),
-    )
-    add(
-        "weak-min-form-not-implied", 2,
-        "weak would force poss(a&!c) = min(poss(a), poss(!c)) (it does not)",
-        lambda o, a, c: _imp(
-            o.weak_indep(a, c),
-            o.poss(And(a, Not(c))) == np.minimum(o.poss(a), o.poss(Not(c))),
-        ),
-    )
-    add(
-        "weak-self", 1,
-        "a is weakly independent of itself iff nec(a) > 0",
-        lambda o, a: _iff(o.weak_indep(a, a), o.nec(a) > 0),
-    )
-    add(
-        "weak-contraposition-split", 2,
-        "weak dep(a, c) or weak dep(!c, !a) (fails: both can be independent)",
-        lambda o, a, c: np.logical_not(o.weak_indep(a, c))
-        | np.logical_not(o.weak_indep(Not(c), Not(a))),
-    )
-    add(
-        "weak-contraposition-pair-char", 2,
-        "the exact cell condition for weak independence in both directions",
-        lambda o, a, c: _iff(
-            o.weak_indep(a, c) & o.weak_indep(Not(c), Not(a)),
-            (
-                o.poss(And(Not(a), c))
-                > np.maximum(o.poss(And(a, c)), o.poss(And(Not(a), Not(c))))
-            )
-            & (
-                np.minimum(o.poss(And(a, c)), o.poss(And(Not(a), Not(c))))
-                > o.poss(And(a, Not(c)))
-            ),
-        ),
-    )
-    add(
-        "weak-or-merge-printed", 3,
-        "wi(a, c) or wi(b, c) would imply wi(a|b, c) (one-premise form)",
-        lambda o, a, b, c: _imp(
-            o.weak_indep(a, c) | o.weak_indep(b, c), o.weak_indep(Or(a, b), c)
-        ),
-    )
-    add(
-        "weak-or-conjunction-printed", 3,
-        "wi(a, b) or wi(a, c) would imply wi(a, b&c) (one-premise form)",
-        lambda o, a, b, c: _imp(
-            o.weak_indep(a, b) | o.weak_indep(a, c), o.weak_indep(a, And(b, c))
-        ),
-    )
-    add(
-        "weak-conjunction-iff", 3,
-        "wi(a, b&c) iff wi(a, b) and wi(a, c)",
-        lambda o, a, b, c: _iff(
-            o.weak_indep(a, And(b, c)), o.weak_indep(a, b) & o.weak_indep(a, c)
-        ),
-    )
-    add(
-        "weak-disjunction-iff", 3,
-        "wi(a|b, c) iff wi(a, c) and wi(b, c)",
-        lambda o, a, b, c: _iff(
-            o.weak_indep(Or(a, b), c), o.weak_indep(a, c) & o.weak_indep(b, c)
-        ),
-    )
-    add(
-        "weak-strong-collapse-on-cover", 2,
-        "wi(a|!c, c) iff strong_indep(a|!c, c)",
-        lambda o, a, c: _iff(
-            o.weak_indep(Or(a, Not(c)), c), o.strong_indep(Or(a, Not(c)), c)
-        ),
-    )
-
-    # -- plausible inference ------------------------------------------
-
-    add(
-        "rational-monotony", 3,
-        "accepted conclusions survive evidence that was not rejected",
-        lambda o, a, b, c: _imp(
-            (o.cond_nec(a, b) > 0) & (o.cond_nec(Not(c), b) == 0),
-            o.cond_nec(a, And(b, c)) > 0,
-        ),
-    )
-
-    return tuple(laws)
-
-
-CATALOG: tuple[Law, ...] = _catalog()
+CATALOG: tuple[Law, ...] = tuple(_law(law_id, statement) for law_id, statement in _STATEMENTS)
 
 _CATALOG_BY_ID = {law.law_id: law for law in CATALOG}
 
@@ -725,11 +452,7 @@ def law_cost(law: Law, dist_count: int, generator_count: int) -> int:
 
 
 def check_law(
-    law: Law,
-    n: int,
-    top: int,
-    budget: int = DEFAULT_BUDGET,
-    ensemble: Optional[DistEnsemble] = None,
+    law: Law, n: int, top: int, budget: int = DEFAULT_BUDGET, ensemble: Optional[DistEnsemble] = None
 ) -> LawReport:
     """Quantify one law over the full enumeration and the generator set.
 
@@ -752,9 +475,7 @@ def check_law(
             i = int(np.argmin(row))
             dist = ensemble.dist_at(i)
             if np.all(law.predicate(ScalarOps(dist), *combo)):
-                raise RuntimeError(
-                    f"backend disagreement on law {law.law_id}: vector run failed, scalar run passed"
-                )
+                raise RuntimeError(f"backend disagreement on law {law.law_id}: vector run failed, scalar run passed")
             return LawReport(law.law_id, n, top, done, False, Counterexample(dist, combo))
     return LawReport(law.law_id, n, top, done, True, None)
 
@@ -786,7 +507,7 @@ class CriterionReport(Record):
 def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[CriterionReport]:
     """All 8 composition criteria crossed with the 3 relations."""
     cells = [(relation, criterion) for relation in RELATIONS for criterion in CRITERIA]
-    laws = [Law(f"{r.lower()}-{c.lower()}", 3, "", composition_predicate(r, c)) for r, c in cells]
+    laws = [_law(f"{r.lower()}-{c.lower()}", _cell(r, c)) for r, c in cells]
     reports = _sweep(laws, n, top, budget, "criteria table")
     return [
         CriterionReport(criterion, relation, n, top, rep.holds, rep.counterexample)

@@ -182,6 +182,10 @@ def inject_independence(kb: RuleBase, context: Formula, extra: Formula, conclusi
 
 
 def check_rational_monotony(d: Dist, a: Formula, b: Formula, c: Formula) -> bool:
-    """Accepted conclusions survive extra evidence that is not itself rejected."""
+    """Accepted conclusions survive extra evidence that is not itself rejected.
+
+    The plain-bool twin of the law lab's ``rational-monotony`` statement,
+    ``implies(cond_nec(a, b) > 0 and cond_nec(~c, b) == 0, cond_nec(a, b & c) > 0)``.
+    """
     premise = cond_nec(d, a, b) > 0 and cond_nec(d, Not(c), b) == 0
     return (not premise) or cond_nec(d, a, And(b, c)) > 0

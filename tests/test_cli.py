@@ -279,7 +279,7 @@ from ordindep import cli
 for argv in (["rank", "data/penguin.kb"], ["query", "data/penguin.kb", "-e", "p", "-c", "b"],
              ["dist", "data/penguin.kb"], ["indep", "data/sample.dist", "-a", "a", "-c", "c"]):
     assert cli.main(argv) == 0, argv
-heavy = {"dataclasses", "inspect", "json", "pathlib", "numpy"} & (set(sys.modules) - before)
+heavy = {"dataclasses", "inspect", "json", "pathlib", "numpy", "ast"} & (set(sys.modules) - before)
 assert not heavy, sorted(heavy)
 """
 

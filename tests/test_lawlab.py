@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -33,14 +34,20 @@ from ordindep import measures
 from ordindep.lawlab import (
     CRITERIA,
     RELATIONS,
+    Counterexample,
     DistEnsemble,
     Law,
     ScalarOps,
+    _cell,
     _event_triples,
     _forced_pairs,
+    _law,
     _realized_relations,
+    composition_predicate,
     law_cost,
 )
+
+import law_oracle
 
 # confirmed by machine enumeration over both desk grids; every entry
 # re-verified by the scalar backend on its concrete counterexample
@@ -54,6 +61,18 @@ FAILING_LAWS = frozenset({
     "weak-or-conjunction-printed",
     "weak-disjunction-iff",
 })
+
+# catalog laws whose statements are table cells' statements
+CELL_LAWS = {
+    "zadeh-split-disjunction-conclusion": ("Zadeh", "DCI-r"),
+    "zadeh-split-disjunction-antecedent": ("Zadeh", "DCI"),
+    "zadeh-merge-disjunction-antecedent": ("Zadeh", "DCD"),
+    "zadeh-merge-disjunction-conclusion": ("Zadeh", "DCD-r"),
+    "strong-dep-conjunction-split": ("Strong", "CCI-r"),
+    "strong-dep-antecedent-split": ("Strong", "DCI"),
+    "strong-dep-disjunction-merge": ("Strong", "DCD"),
+    "strong-dep-consequent-merge": ("Strong", "CCD-r"),
+}
 
 # criteria table at atoms=2, top=3; Weak x CCD flips to False at (3, 2)
 TABLE_2_3 = {
@@ -278,23 +297,118 @@ class TestCriteriaTable:
             assert c.holds == (c.counterexample is None)
 
     def test_cell_laws_match_their_cells(self):
-        # catalog laws built as table cells; their notes state each cell's
-        # contrapositive
-        cell_laws = {
-            "zadeh-split-disjunction-conclusion": ("Zadeh", "DCI-r"),
-            "zadeh-split-disjunction-antecedent": ("Zadeh", "DCI"),
-            "zadeh-merge-disjunction-antecedent": ("Zadeh", "DCD"),
-            "zadeh-merge-disjunction-conclusion": ("Zadeh", "DCD-r"),
-            "strong-dep-conjunction-split": ("Strong", "CCI-r"),
-            "strong-dep-antecedent-split": ("Strong", "DCI"),
-            "strong-dep-disjunction-merge": ("Strong", "DCD"),
-            "strong-dep-consequent-merge": ("Strong", "CCD-r"),
-        }
         cells = {(c.relation, c.criterion): c for c in criteria_table(2, 2)}
         reports = {r.law_id: r for r in run_catalog(2, 2)}
-        for law_id, cell in cell_laws.items():
+        for law_id, cell in CELL_LAWS.items():
+            law = law_by_id(law_id)
+            assert law.note == _cell(*cell)
+            assert law.predicate.__code__ == composition_predicate(*cell).__code__
             rep = reports[law_id]
             assert (rep.holds, rep.counterexample) == (cells[cell].holds, cells[cell].counterexample)
+
+
+def _first_disagreement(ensemble, compiled, oracle, arity):
+    """The first generator tuple on which the compiled predicate's row
+    differs from the oracle's, or None."""
+    ops = ScalarOps(ensemble)
+    for combo in itertools.product(generator_formulas(ensemble.vocab), repeat=arity):
+        got = np.broadcast_to(compiled(ops, *combo), (ensemble.count,))
+        want = np.broadcast_to(oracle(ops, *combo), (ensemble.count,))
+        if not np.array_equal(got, want):
+            return combo
+    return None
+
+
+class TestStatements:
+    def test_catalog_matches_the_oracle_ids_order_and_arity(self):
+        assert [(law.law_id, law.arity) for law in CATALOG] == [
+            (law.law_id, law.arity) for law in law_oracle.CATALOG
+        ]
+
+    def test_each_note_compiles_to_its_predicate(self):
+        for law in CATALOG:
+            compiled = _law(law.law_id, law.note)
+            assert compiled.arity == law.arity, law.law_id
+            assert compiled.predicate.__code__ == law.predicate.__code__, law.law_id
+
+    def test_every_law_agrees_with_the_oracle_at_2_3(self):
+        ens = DistEnsemble(2, 3)
+        for law, oracle in zip(CATALOG, law_oracle.CATALOG):
+            assert _first_disagreement(ens, law.predicate, oracle.predicate, law.arity) is None, law.law_id
+
+    def test_every_cell_agrees_with_the_oracle_at_2_3(self):
+        # the eight cell laws are covered by the catalog comparison
+        ens = DistEnsemble(2, 3)
+        for relation in RELATIONS:
+            for criterion in CRITERIA:
+                if (relation, criterion) in CELL_LAWS.values():
+                    continue
+                compiled = composition_predicate(relation, criterion)
+                oracle = law_oracle.composition_predicate(relation, criterion)
+                assert _first_disagreement(ens, compiled, oracle, 3) is None, (relation, criterion)
+
+    @pytest.mark.parametrize("law_id", ["qpo-dominance", "strong-exclusion-dep"])
+    @pytest.mark.parametrize("n,top", [(2, 3), (3, 2)])
+    def test_entailment_laws_agree_with_the_oracle(self, law_id, n, top):
+        # entails has no distribution axis; the laws mix it with rows
+        law = law_by_id(law_id)
+        oracle = next(o for o in law_oracle.CATALOG if o.law_id == law_id)
+        ens = DistEnsemble(n, top)
+        assert _first_disagreement(ens, law.predicate, oracle.predicate, 2) is None
+        report = check_law(law, n, top, budget=10**9, ensemble=ens)
+        assert report == check_law(oracle, n, top, budget=10**9, ensemble=ens)
+        assert report.holds
+
+    def test_distribution_free_statements(self):
+        ens = DistEnsemble(2, 3)
+        rep = check_law(_law("conjunction-entails-conjunct", "entails(a & b, a)"), 2, 3, ensemble=ens)
+        assert rep.holds and rep.evaluations == 14 * 14 * ens.count
+        rep = check_law(_law("everything-entails", "entails(a, b)"), 2, 3, ensemble=ens)
+        assert not rep.holds
+        assert rep.counterexample == Counterexample(ens.dist_at(0), (TRUE, FALSE))
+        assert rep.evaluations == 2 * ens.count
+
+    def test_arity_is_the_free_variables_in_order(self):
+        law = _law("x", "implies(poss(c) == top, nec(~a) < top)")
+        assert law.arity == 2
+        assert law.predicate.__code__.co_varnames == ("o", "a", "c")
+        assert _law("x", "poss(true) > poss(false)").arity == 0
+
+    def test_predicates_see_only_numpy_and_the_formula_names(self):
+        for law in CATALOG:
+            assert law.predicate.__globals__.keys() == {"__builtins__", "np", "And", "Or", "Not", "TRUE", "FALSE"}
+            assert law.predicate.__globals__["__builtins__"] == {}
+
+    @pytest.mark.parametrize("statement", [
+        "poss(d) > 0",                          # unknown name
+        "related(a, c)",                        # unknown function
+        "poss(a, c) > 0",                       # wrong argument count
+        "cond_nec(a) > 0",                      # wrong argument count
+        "iff(strong_indep(a, c))",              # wrong argument count
+        "poss(f=a) > 0",                        # keyword argument
+        "poss(a) == a",                         # a formula where a level belongs
+        "poss(poss(a)) > 0",                    # a level where a formula belongs
+        "strong_indep(a, c) == top",            # a truth value where a level belongs
+        "poss(a)",                              # a level where a truth value belongs
+        "poss(a & strong_indep(a, c)) > 0",     # a truth value where a formula belongs
+        "0 < poss(a) < top",                    # chained comparison
+        "poss(a) in poss(c)",                   # other comparison
+        "poss(a) >= 1",                         # other literal
+        "poss(a) > 0.5",                        # other literal
+        "poss(a) > False",                      # other literal
+        "strong_indep(a, 'c')",                 # other literal
+        "o.top > 0",                            # attribute
+        "poss(a) > np.maximum(0, 0)",           # attribute
+        "poss(a[0]) > 0",                       # subscript
+        "poss(a) + 0 > 0",                      # level arithmetic
+        "strong_indep(a, c) & weak_indep(a, c)",  # formula operator on truth values
+        "not a",                                # truth operator on a formula
+        "lambda: 0",                            # anything else
+        "poss(a) >",                            # not an expression
+    ])
+    def test_excluded_forms_raise(self, statement):
+        with pytest.raises(ValueError, match=re.escape(f"law statement {statement!r}")):
+            _law("excluded", statement)
 
 
 class TestRelationProbe:

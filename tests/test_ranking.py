@@ -304,3 +304,16 @@ class TestRationalMonotony:
     def test_holds_universally(self, dfabc):
         d, a, b, c = dfabc
         assert check_rational_monotony(d, a, b, c)
+
+    def test_matches_the_compiled_law(self):
+        # every (2, 2) distribution and generator triple: the helper's bool
+        # equals the law lab's row for rational-monotony
+        from ordindep.lawlab import DistEnsemble, ScalarOps, generator_formulas, law_by_id
+
+        law = law_by_id("rational-monotony")
+        ens = DistEnsemble(2, 2)
+        dists = [ens.dist_at(i) for i in range(ens.count)]
+        ops = ScalarOps(ens)
+        for a, b, c in itertools.product(generator_formulas(ens.vocab), repeat=3):
+            want = [check_rational_monotony(d, a, b, c) for d in dists]
+            assert law.predicate(ops, a, b, c).tolist() == want, (a, b, c)
