@@ -3,9 +3,11 @@
 The one-atom probe checks every candidate dependence relation outright;
 the two-atom probe samples mutations of realized relations (500 draws,
 seed 0). Realized relations are read off the law lab's event table for
-every distribution at tops 1-3, and each candidate is checked as an
-event x event dependence matrix. The law catalog and the criteria table
-run through `ordindep check` and `ordindep table`.
+every distribution at tops 1-3. The axioms are law catalog statements
+(five in the printed reading, four in the schema reading), and each
+probe checks all its candidates at once, through the same event-id
+sweep that `ordindep check` and `ordindep table` run the catalog and the
+criteria table through.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from .ranking import (
     RuleBase,
     RuleOrigin,
     StratifiedRanking,
-    check_rational_monotony,
     compute_pi_star,
     inject_independence,
     priority_necessities,
@@ -137,7 +136,6 @@ __all__ = [
     "RuleBase",
     "RuleOrigin",
     "StratifiedRanking",
-    "check_rational_monotony",
     "compute_pi_star",
     "inject_independence",
     "priority_necessities",

@@ -10,14 +10,14 @@ before it is returned.
 Each law is written once, as a statement (``Law.note``) in a small
 grammar over the ScalarOps methods and ``top``, and compiled at import into
 the predicate that is checked; the criteria table's cells are generated
-statements on the same path.  ScalarOps adapts the library calls in
-``measures`` and ``independence``, which read a distribution only through
-``vocab``, ``top`` and ``poss_mask``: the checker hands it a DistEnsemble,
-whose ``poss_mask`` returns one level per enumerated distribution as a
-numpy row, to sweep them all at once, and then a concrete Dist to confirm
-the first failure.  The relation-axiom probe reads every distribution's
-dependence relation off the same event table and checks the axioms on it
-as an event x event matrix.
+statements on the same path, and so are the dependence axioms.  A law
+is swept in one predicate call per value of its first argument, on
+leaves that stand for arrays of event ids: ScalarOps adapts the library
+calls in ``measures`` and ``independence``, which read a distribution
+only through ``vocab``, ``top`` and ``poss_mask``, and a DistEnsemble's
+``poss_mask`` looks every event up in every distribution at once.  A
+concrete Dist then confirms the first failure.  The relation-axiom probe
+runs the axiom statements on a stack of candidate relations instead.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -103,10 +103,10 @@ class DistEnsemble:
     def __init__(self, n: int, top: int, budget: int = DEFAULT_BUDGET):
         self.vocab = lab_vocabulary(n)
         self.top = top
-        self.levels = np.array([d.levels for d in enumerate_dists(n, top, budget)], dtype=np.int16)
+        self.levels = np.array([d.levels for d in enumerate_dists(n, top, budget)], dtype=np.int8)  # top <= 3
         # events 2^w .. 2^(w+1)-1 are the events below 2^w with world w
         # added: each row is the smaller event's row maxed with w's column
-        self.P = np.zeros((1 << self.vocab.world_count, self.count), dtype=np.int16)
+        self.P = np.zeros((1 << self.vocab.world_count, self.count), dtype=np.int8)
         for w in range(self.vocab.world_count):
             self.P[1 << w : 2 << w] = np.maximum(self.P[: 1 << w], self.levels[:, w])
 
@@ -128,13 +128,14 @@ class ScalarOps:
     gives one numpy row per call, via the same library calls.
 
     ``entails_classically`` reads no distribution, so it returns one bool
-    with no distribution axis on either source; ``check_law`` broadcasts a
-    scalar truth value, reading it as that verdict in every distribution,
-    so a failing one points at distribution 0."""
+    with no distribution axis on either source (on event ids, an array
+    whose last axis has length 1); ``check_law`` broadcasts a scalar truth
+    value, reading it as that verdict in every distribution."""
 
     def __init__(self, dist: Dist | DistEnsemble):
         self.dist = dist
         self.top = dist.top
+        self.n = dist.vocab.n
 
     def poss(self, f: Formula) -> int:
         return measures.poss(self.dist, f)
@@ -164,8 +165,8 @@ class ScalarOps:
         return indep.weak_indep_direct(self.dist, a, c)
 
     def entails_classically(self, a: Formula, b: Formula) -> bool:
-        n = self.dist.vocab.n
-        return (model_mask(a, n) & (full_mask(n) ^ model_mask(b, n))) == 0
+        holds = (model_mask(a, self.n) & (full_mask(self.n) ^ model_mask(b, self.n))) == 0
+        return holds[..., None] if isinstance(holds, np.ndarray) else holds
 
 
 class Law(Record):
@@ -451,32 +452,57 @@ def law_cost(law: Law, dist_count: int, generator_count: int) -> int:
     return dist_count * generator_count**law.arity
 
 
+class _EventIds(Formula):
+    """A leaf whose mask at n is an array of event ids, so the formulas
+    over it have array masks.  It equals only itself: with empty slots,
+    the structural ``==`` would call any two leaves equal."""
+
+    __slots__ = ()
+
+    def __init__(self, ids: np.ndarray, n: int):
+        object.__setattr__(self, "_hash", id(self))
+        object.__setattr__(self, "_masks", {n: ids})
+
+    def __eq__(self, other):
+        return self is other
+
+    __hash__ = Formula.__hash__
+
+
+def _grid(law: Law, ops, pools: list[np.ndarray], n: int, sources: int) -> np.ndarray:
+    """One predicate call's truth on every combination of the pools' events
+    (argument k along axis k) in every source (the last axis)."""
+    leaves = [_EventIds(ids, n) for ids in np.ix_(*pools)]
+    return np.broadcast_to(law.predicate(ops, *leaves), [len(pool) for pool in pools] + [sources])
+
+
 def check_law(
     law: Law, n: int, top: int, budget: int = DEFAULT_BUDGET, ensemble: Optional[DistEnsemble] = None
 ) -> LawReport:
     """Quantify one law over the full enumeration and the generator set.
-
-    The first failing (formula tuple, distribution) pair in deterministic
-    order becomes the counterexample, after a run on that distribution
-    alone confirms that it really falsifies the law.
+    The first False in C order over (formulas..., distribution) becomes
+    the counterexample, once a run on that distribution alone confirms it.
     """
     if ensemble is None:
         ensemble = DistEnsemble(n, top, budget)
-    gens = generator_formulas(ensemble.vocab)
-    cost = law_cost(law, ensemble.count, len(gens))
+    gens, count = generator_formulas(ensemble.vocab), ensemble.count
+    cost = law_cost(law, count, len(gens))
     if cost > budget:
         raise BudgetError(f"law {law.law_id} needs {cost} evaluations, budget is {budget}")
-    ops = ScalarOps(ensemble)
+    ops, ids = ScalarOps(ensemble), np.array([model_mask(g, ensemble.vocab.n) for g in gens])
+    chunks = [[ids[j : j + 1]] + [ids] * (law.arity - 1) for j in range(len(ids))] if law.arity else [[]]
     done = 0
-    for combo in itertools.product(gens, repeat=law.arity):
-        row = law.predicate(ops, *combo)
-        done += ensemble.count
-        if not np.all(row):
-            i = int(np.argmin(row))
+    for pools in chunks:
+        grid = _grid(law, ops, pools, ops.n, count)
+        if not grid.all():
+            flat = done + int(np.argmin(grid))
+            *picks, i = np.unravel_index(flat, (len(gens),) * law.arity + (count,))
+            combo = tuple(gens[k] for k in picks)
             dist = ensemble.dist_at(i)
             if np.all(law.predicate(ScalarOps(dist), *combo)):
                 raise RuntimeError(f"backend disagreement on law {law.law_id}: vector run failed, scalar run passed")
-            return LawReport(law.law_id, n, top, done, False, Counterexample(dist, combo))
+            return LawReport(law.law_id, n, top, flat // count * count + count, False, Counterexample(dist, combo))
+        done += grid.size
     return LawReport(law.law_id, n, top, done, True, None)
 
 
@@ -519,8 +545,17 @@ def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[Crite
 
 # The abstract side of the axiomatization: a candidate dependence relation
 # is a set of (event, event) pairs, events being world-set bitmasks.  The
-# probe filters candidates by the five closure axioms and then hunts for a
+# probe filters candidates by the dependence axioms and then hunts for a
 # distribution whose strong-dependence relation matches exactly.
+
+# The axioms as catalog laws, per reading of self-negation: 'printed' pins
+# (a, false) and (a, ~a) dependent, 'schema' every disjoint pair.
+_AXIOMS = {
+    "printed": ("dep-axiom-tautology-pair", "strong-false-consequent-dep", "dep-axiom-self-negation",
+                "dep-axiom-transitivity", "strong-dep-conjunction-split"),
+    "schema": ("dep-axiom-tautology-pair", "strong-exclusion-dep", "dep-axiom-transitivity",
+               "strong-dep-conjunction-split"),
+}
 
 
 def realized_relations(ensemble: DistEnsemble) -> list[int]:
@@ -539,52 +574,48 @@ def realized_relations(ensemble: DistEnsemble) -> list[int]:
     return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
 
-@lru_cache(maxsize=None)
-def _forced_pairs(n: int, mode: str) -> np.ndarray:
-    """The E x E matrix of pairs the non-conditional axioms force
-    dependent, per reading of the self-negation axiom: 'printed' pins only
-    (a, false) and (a, not a); 'schema' pins every disjoint pair.  Built
-    once per (n, mode) and read-only."""
-    if mode not in ("printed", "schema"):
+class _RelationOps:
+    """The axiom statements' ops on a stack of candidate relations
+    ``dep[x, y, k]``: independence in candidate k is not dependence."""
+
+    def __init__(self, dep: np.ndarray, n: int):
+        self.dep, self.n = dep, n
+
+    def strong_indep(self, a: Formula, c: Formula) -> np.ndarray:
+        return ~self.dep[model_mask(a, self.n), model_mask(c, self.n)]
+
+    entails_classically = ScalarOps.entails_classically
+
+
+def _admitted(relations: Iterable[int], n: int, mode: str) -> np.ndarray:
+    """Which relations, packed as by realized_relations, satisfy the axioms
+    of one reading: each axiom is one grid over every event tuple and the
+    stack ``dep[x, y, k]`` of all the relations."""
+    if mode not in _AXIOMS:
         raise ValueError(f"unknown axiom mode: {mode!r}")
     events = 1 << (1 << n)
-    x, y = np.ogrid[:events, :events]
-    forced = (y == 0) | (y == full_mask(n) ^ x) if mode == "printed" else (x & y) == 0
-    forced.flags.writeable = False
-    return forced
-
-
-@lru_cache(maxsize=None)
-def _event_triples(n: int) -> tuple[np.ndarray, ...]:
-    """Index arrays over every event triple (x, y, z), built once per n and
-    read-only: the open grids x, y and z, then the six event arrays the
-    axioms look up, x | y, full ^ y, y | z, full ^ z, x | z and y & z."""
-    events = 1 << (1 << n)
-    full = full_mask(n)
-    x, y, z = np.ogrid[:events, :events, :events]
-    arrays = (x, y, z, x | y, full ^ y, y | z, full ^ z, x | z, y & z)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    raw = b"".join(bits.to_bytes(events * events // 8, "little") for bits in relations)
+    dep = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool).reshape(-1, events, events)
+    ops, ids = _RelationOps(dep.transpose(1, 2, 0), n), np.arange(events)
+    admitted = np.ones(len(dep), dtype=bool)
+    for law in map(law_by_id, _AXIOMS[mode]):
+        admitted &= _grid(law, ops, [ids] * law.arity, n, len(dep)).all(axis=tuple(range(law.arity)))
+    return admitted
 
 
 def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
-    """The five dependence axioms, read over event bitmasks: the forced
-    pairs are dependent, (true, true) is not, and transitivity and the
-    split axiom hold for every event triple."""
-    events = 1 << (1 << n)
-    pairs = events * events
+    """The dependence axioms of one reading, on one relation bitset."""
+    pairs = (1 << (1 << n)) ** 2
     if not 0 <= bits < 1 << pairs:
         raise ValueError(f"relation bits must lie in [0, 2**{pairs}) at {n} atoms")
-    raw = np.frombuffer(bits.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
-    dep = np.unpackbits(raw, count=pairs, bitorder="little").view(bool).reshape(events, events)
-    full = full_mask(n)
-    if not np.all(dep[_forced_pairs(n, mode)]) or dep[full, full]:
-        return False
-    x, y, z, x_or_y, not_y, y_or_z, not_z, x_or_z, y_and_z = _event_triples(n)
-    transitivity = ~(dep[x_or_y, not_y] & dep[y_or_z, not_z]) | dep[x_or_z, not_z]
-    split = ~dep[x, y_and_z] | dep[x, y] | dep[x, z]
-    return bool(np.all(transitivity) and np.all(split))
+    return bool(_admitted([bits], n, mode)[0])
+
+
+def _forced_pairs(n: int, mode: str) -> np.ndarray:
+    """The E x E pairs the exact probe fixes as dependent, in one reading."""
+    events = 1 << (1 << n)
+    x, y = np.ogrid[:events, :events]
+    return (y == 0) | (y == full_mask(n) ^ x) if mode == "printed" else (x & y) == 0
 
 
 class ProbeReport(Record):
@@ -609,7 +640,7 @@ def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> 
     """Count the candidate relations, those the axioms admit, and those of
     the admitted that no distribution realizes."""
     candidates = list(candidates)
-    admitted = [bits for bits in candidates if relation_axioms_hold(bits, n, mode)]
+    admitted = list(itertools.compress(candidates, _admitted(candidates, n, mode)))
     unrealized = tuple(bits for bits in admitted if bits not in realized)
     return ProbeReport(n, len(candidates), len(admitted), len(admitted) - len(unrealized), unrealized)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from .logic import And, Formula, Not, Or, Record, Vocabulary, full_mask, mask_worlds, model_mask
-from .measures import Dist, TriState, cond_nec, entails, nec
+from .measures import Dist, TriState, entails, nec
 
 
 class RuleOrigin(enum.Enum):
@@ -180,12 +180,3 @@ def inject_independence(kb: RuleBase, context: Formula, extra: Formula, conclusi
     """
     return kb.extended(Rule(And(context, extra), conclusion, RuleOrigin.INDEPENDENCE))
 
-
-def check_rational_monotony(d: Dist, a: Formula, b: Formula, c: Formula) -> bool:
-    """Accepted conclusions survive extra evidence that is not itself rejected.
-
-    The plain-bool twin of the law lab's ``rational-monotony`` statement,
-    ``implies(cond_nec(a, b) > 0 and cond_nec(~c, b) == 0, cond_nec(a, b & c) > 0)``.
-    """
-    premise = cond_nec(d, a, b) > 0 and cond_nec(d, Not(c), b) == 0
-    return (not premise) or cond_nec(d, a, And(b, c)) > 0

@@ -30,17 +30,19 @@ from ordindep import (
     run_catalog,
 )
 from ordindep import independence as ind
-from ordindep import measures
+from ordindep import lawlab, measures
 from ordindep.lawlab import (
     CRITERIA,
     RELATIONS,
     Counterexample,
     DistEnsemble,
     Law,
+    LawReport,
     ScalarOps,
+    _admitted,
     _cell,
-    _event_triples,
-    _forced_pairs,
+    _EventIds,
+    _grid,
     _law,
     _realized_relations,
     composition_predicate,
@@ -260,6 +262,76 @@ class TestCheckLaw:
             law_by_id("no-such-law")
 
 
+def _reference_check(law, n, top, ensemble):
+    """check_law as a per-tuple loop: one predicate call per generator
+    tuple in product order, the first failing row's first False as the
+    counterexample.  Returns the report and every row, stacked."""
+    ops = ScalarOps(ensemble)
+    gens = generator_formulas(ensemble.vocab)
+    rows, report, done = [], None, 0
+    for combo in itertools.product(gens, repeat=law.arity):
+        row = np.broadcast_to(law.predicate(ops, *combo), (ensemble.count,))
+        rows.append(row)
+        done += ensemble.count
+        if report is None and not np.all(row):
+            i = int(np.argmin(row))
+            report = LawReport(law.law_id, n, top, done, False, Counterexample(ensemble.dist_at(i), combo))
+    if report is None:
+        report = LawReport(law.law_id, n, top, done, True, None)
+    return report, np.stack(rows).reshape((len(gens),) * law.arity + (ensemble.count,))
+
+
+def _event_ids(vocab):
+    return np.array([model_mask(g, vocab.n) for g in generator_formulas(vocab)])
+
+
+def _cell_laws():
+    return [_law(f"{r.lower()}-{c.lower()}", _cell(r, c)) for r in RELATIONS for c in CRITERIA]
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("n,top", [(2, 2), (2, 3)])
+    def test_matches_the_per_tuple_loop(self, n, top):
+        ens = DistEnsemble(n, top)
+        ids = _event_ids(ens.vocab)
+        for law in (*CATALOG, *_cell_laws()):
+            want, rows = _reference_check(law, n, top, ens)
+            assert check_law(law, n, top, budget=10**9, ensemble=ens) == want, law.law_id
+            grid = _grid(law, ScalarOps(ens), [ids] * law.arity, n, ens.count)
+            assert np.array_equal(grid, rows), law.law_id
+
+    def test_grids_stay_chunked_at_3_2(self, monkeypatch):
+        # one grid per first-argument value: none exceeds 16^2 x 6305 cells
+        sizes = []
+        grid = lawlab._grid
+
+        def recording(*args):
+            out = grid(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(lawlab, "_grid", recording)
+        reports = run_catalog(3, 2, budget=10**9)
+        assert {r.law_id for r in reports if not r.holds} == FAILING_LAWS
+        assert max(sizes) == 16**2 * 6305
+
+    def test_event_id_leaves_equal_only_themselves(self):
+        ids = np.arange(4)
+        x, y = _EventIds(ids, 1), _EventIds(ids, 1)
+        assert x == x and x != y and not (x == y)
+        assert hash(x) != hash(y)
+        assert model_mask(Not(x), 1).tolist() == [3, 2, 1, 0]
+
+    def test_entailment_on_event_ids_has_a_source_axis(self):
+        ens = DistEnsemble(2, 2)
+        ids = np.arange(16)
+        a, b = _EventIds(ids[:, None], 2), _EventIds(ids[None, :], 2)
+        got = ScalarOps(ens).entails_classically(a, b)
+        assert got.shape == (16, 16, 1)
+        assert got[..., 0].tolist() == [[x & ~y & 15 == 0 for y in range(16)] for x in range(16)]
+        assert ScalarOps(ens).entails_classically(FALSE, TRUE) is True
+
+
 class TestCatalog:
     def test_shape(self):
         assert len(CATALOG) == 72
@@ -307,16 +379,34 @@ class TestCriteriaTable:
             assert (rep.holds, rep.counterexample) == (cells[cell].holds, cells[cell].counterexample)
 
 
-def _first_disagreement(ensemble, compiled, oracle, arity):
-    """The first generator tuple on which the compiled predicate's row
-    differs from the oracle's, or None."""
-    ops = ScalarOps(ensemble)
-    for combo in itertools.product(generator_formulas(ensemble.vocab), repeat=arity):
-        got = np.broadcast_to(compiled(ops, *combo), (ensemble.count,))
-        want = np.broadcast_to(oracle(ops, *combo), (ensemble.count,))
-        if not np.array_equal(got, want):
-            return combo
-    return None
+def _assert_grids_agree(ensemble, compiled, oracle, arity, what):
+    """The compiled predicate's grid equals the oracle's over every
+    generator tuple and distribution, one first-argument chunk at a time
+    (as check_law sweeps), so no grid outgrows 16^2 x 6305 cells at (3, 2)."""
+    ops, ids, n = ScalarOps(ensemble), _event_ids(ensemble.vocab), ensemble.vocab.n
+    chunks = [[ids[j : j + 1]] + [ids] * (arity - 1) for j in range(len(ids))] if arity else [[]]
+    for pools in chunks:
+        got = _grid(Law("compiled", arity, "", compiled), ops, pools, n, ensemble.count)
+        want = _grid(Law("oracle", arity, "", oracle), ops, pools, n, ensemble.count)
+        assert np.array_equal(got, want), what
+
+
+def _assert_laws_agree(n, top):
+    ens = DistEnsemble(n, top, budget=10**9)
+    for law, oracle in zip(CATALOG, law_oracle.CATALOG):
+        _assert_grids_agree(ens, law.predicate, oracle.predicate, law.arity, law.law_id)
+
+
+def _assert_cells_agree(n, top):
+    # the eight cell laws are covered by the catalog comparison
+    ens = DistEnsemble(n, top, budget=10**9)
+    for relation in RELATIONS:
+        for criterion in CRITERIA:
+            if (relation, criterion) in CELL_LAWS.values():
+                continue
+            compiled = composition_predicate(relation, criterion)
+            oracle = law_oracle.composition_predicate(relation, criterion)
+            _assert_grids_agree(ens, compiled, oracle, 3, (relation, criterion))
 
 
 class TestStatements:
@@ -331,21 +421,18 @@ class TestStatements:
             assert compiled.arity == law.arity, law.law_id
             assert compiled.predicate.__code__ == law.predicate.__code__, law.law_id
 
+    # one test per grid, so the (2, 3) tests keep their names
     def test_every_law_agrees_with_the_oracle_at_2_3(self):
-        ens = DistEnsemble(2, 3)
-        for law, oracle in zip(CATALOG, law_oracle.CATALOG):
-            assert _first_disagreement(ens, law.predicate, oracle.predicate, law.arity) is None, law.law_id
+        _assert_laws_agree(2, 3)
+
+    def test_every_law_agrees_with_the_oracle_at_3_2(self):
+        _assert_laws_agree(3, 2)
 
     def test_every_cell_agrees_with_the_oracle_at_2_3(self):
-        # the eight cell laws are covered by the catalog comparison
-        ens = DistEnsemble(2, 3)
-        for relation in RELATIONS:
-            for criterion in CRITERIA:
-                if (relation, criterion) in CELL_LAWS.values():
-                    continue
-                compiled = composition_predicate(relation, criterion)
-                oracle = law_oracle.composition_predicate(relation, criterion)
-                assert _first_disagreement(ens, compiled, oracle, 3) is None, (relation, criterion)
+        _assert_cells_agree(2, 3)
+
+    def test_every_cell_agrees_with_the_oracle_at_3_2(self):
+        _assert_cells_agree(3, 2)
 
     @pytest.mark.parametrize("law_id", ["qpo-dominance", "strong-exclusion-dep"])
     @pytest.mark.parametrize("n,top", [(2, 3), (3, 2)])
@@ -354,7 +441,7 @@ class TestStatements:
         law = law_by_id(law_id)
         oracle = next(o for o in law_oracle.CATALOG if o.law_id == law_id)
         ens = DistEnsemble(n, top)
-        assert _first_disagreement(ens, law.predicate, oracle.predicate, 2) is None
+        _assert_grids_agree(ens, law.predicate, oracle.predicate, 2, law_id)
         report = check_law(law, n, top, budget=10**9, ensemble=ens)
         assert report == check_law(oracle, n, top, budget=10**9, ensemble=ens)
         assert report.holds
@@ -444,25 +531,23 @@ class TestRelationProbe:
         assert (rep.candidates, rep.satisfying, rep.realized) == (120, 11, 0)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown axiom mode"):
             completeness_probe_exact(mode="nonsense")
+        with pytest.raises(ValueError, match="unknown axiom mode"):
+            relation_axioms_hold(0, 1, mode="nonsense")
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_index_grids_are_shared_and_read_only(self, n):
-        # every axiom check reads the same cached arrays, so none may be
-        # written through
-        triples = _event_triples(n)
-        for array in (*triples, _forced_pairs(n, "printed"), _forced_pairs(n, "schema")):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 1
-        assert _event_triples(n) is triples
-        # the six event arrays the axioms index by, next to the grids
-        x, y, z, *events = triples
-        full = (1 << (1 << n)) - 1
-        for array, want in zip(events, (x | y, full ^ y, y | z, full ^ z, x | z, y & z), strict=True):
-            assert np.array_equal(array, want)
-        assert _forced_pairs(n, "schema") is _forced_pairs(n, "schema")
+    @pytest.mark.parametrize("mode,satisfying", [("printed", 60), ("schema", 20)])
+    def test_every_one_atom_relation(self, mode, satisfying):
+        # all 2^16 relations at once: the axioms admit exactly the relations
+        # the exact probe admits, so fixing the forced pairs up front and
+        # leaving (true, true) clear loses none
+        admitted = set(np.flatnonzero(_admitted(range(1 << 16), 1, mode)).tolist())
+        assert len(admitted) == satisfying
+        rep = completeness_probe_exact(mode=mode)
+        realized = _realized_relations(1)
+        assert rep.satisfying == len(admitted)
+        assert rep.realized == len(admitted & realized)
+        assert set(rep.unrealized) == admitted - realized
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_out_of_range_relation_rejected(self, n):
