@@ -110,7 +110,8 @@ class Vocabulary(Record):
         for i, name in enumerate(self.atoms):
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad atom name: {name!r}")
-            if name in RESERVED_WORDS:
+            # the parser reads names case-insensitively against these words
+            if name.lower() in RESERVED_WORDS:
                 raise ValueError(f"atom name {name!r} is a reserved word")
             if name in seen:
                 raise ValueError(f"duplicate atom name: {name!r}")

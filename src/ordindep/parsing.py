@@ -1,8 +1,10 @@
 """Text formats: formulas, rule bases, and distribution files.
 
 Formula grammar, loosest to tightest: `<->`, `->` (right associative),
-`|`, `&`, `!`, parentheses.  `true` and `false` are constants; `wrt` and
-`given` are reserved for indep directives and rejected inside formulas.
+`|`, `&`, `!`, parentheses.  `true` and `false` are constants, in any
+case; `wrt` and `given` are reserved for indep directives and rejected
+inside formulas.  ``Vocabulary`` refuses all four as atom names in any
+case, so a name in a formula is never both an atom and a reserved word.
 
 A rule base file holds one `atoms:` line, then `rule:` and `indep:` lines
 in any order; `#` starts a comment.  A distribution file holds `atoms:`,
@@ -11,8 +13,11 @@ as a binary number (bit i of the value is atom i, so the leftmost digit
 is the last atom) or a pattern of literals naming every atom once, like
 `a !c`.  Unlisted worlds sit at level 0.
 
-A parsed formula's atom leaves are the shared ``logic.ATOMS`` nodes, so a
-parse builds only the operator nodes above them.
+A formula is read in one pass: one ``findall`` splits it into token
+texts, and precedence climbing builds the tree from them.  Columns are
+worked out only when a parse fails, for its error.  A parsed formula's
+atom leaves are the shared ``logic.ATOMS`` nodes, so a parse builds only
+the operator nodes above them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .logic import ATOMS, FALSE, TRUE, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies
+from .logic import (
+    ATOMS, FALSE, RESERVED_WORDS, TRUE, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies,
+)
 from .measures import Dist
 from .ranking import Rule, RuleBase, inject_independence
 
@@ -40,42 +47,14 @@ class ParseError(ValueError):
         return self.message
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-    r"|(?P<iff><->)"
-    r"|(?P<implies>->)"
-    r"|(?P<not>!)"
-    r"|(?P<and>&)"
-    r"|(?P<or>\|)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<bad>.)",  # any other character, a newline included
-    re.DOTALL,
-)
+# One token per match: an operator, a parenthesis, a name, or any other
+# non-space character, which is always an error.  Whitespace between
+# tokens is skipped by the scan, so a token's text is its kind.
+_TOKEN_RE = re.compile(r"<->|->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*|\S")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "column")
-
-    def __init__(self, kind: str, text: str, column: int):
-        self.kind = kind
-        self.text = text
-        self.column = column
-
-
-def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
-    # the last group matches any one character, so the matches tile the text
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col_offset + m.start() + 1)
-        tokens.append(_Token(kind, m.group(), col_offset + m.start() + 1))
-    return tokens
-
+_PUNCTUATION = frozenset(("<->", "->", "(", ")", "!", "&", "|"))
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 # Parentheses, negations and right-nested implications make the parser
 # recurse, and every operator adds a level to the tree that the recursive
@@ -87,140 +66,137 @@ MAX_FORMULA_DEPTH = 100
 # the work of every walk downstream; the tree's node count is held here.
 MAX_FORMULA_SIZE = 10_000
 
+_END = "unexpected end of formula"
+_TOO_DEEP = f"formula nested more than {MAX_FORMULA_DEPTH} levels deep"
+_TOO_BIG = f"formula expands to more than {MAX_FORMULA_SIZE} nodes"
 
 # Binary operators, loosest first.  Each row is: precedence, constructor,
 # the height the built tree adds over its left and its right operand, and
 # its node count as base + mult * (left size + right size); `<->` and `->`
 # expand into And/Or/Not trees, so their rows count those nodes.
 _BINARY = {
-    "iff": (1, iff, 3, 3, 5, 2),
-    "implies": (2, implies, 2, 1, 2, 1),
-    "or": (3, Or, 1, 1, 1, 1),
-    "and": (4, And, 1, 1, 1, 1),
+    "<->": (1, iff, 3, 3, 5, 2),
+    "->": (2, implies, 2, 1, 2, 1),
+    "|": (3, Or, 1, 1, 1, 1),
+    "&": (4, And, 1, 1, 1, 1),
 }
 
 
-class _FormulaParser:
-    """Precedence climbing over ``_BINARY``, recursive descent for `!` and
-    parentheses.  After each parse_* call, ``height`` and ``size`` hold the
-    height and node count of the formula it returned: 0 and 1 for an atom
-    or a constant."""
+class _Fail(Exception):
+    """A parse error as (message, index of the token it is reported at);
+    the index is the token count for the end of the formula."""
 
-    def __init__(self, tokens: list[_Token], vocab: Vocabulary, line: int, end_column: int):
-        self.tokens = tokens
-        self.vocab = vocab
-        self.line = line
-        self.end_column = end_column
-        self.pos = 0
-        self.nesting = 0
-        self.height = 0
-        self.size = 1
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.line, self.end_column)
-        self.pos += 1
-        return tok
-
-    def too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(
-            f"formula nested more than {MAX_FORMULA_DEPTH} levels deep", self.line, tok.column
-        )
-
-    def descend(self, tok: _Token) -> None:
-        """Enter one level of parser recursion opened by tok."""
-        self.nesting += 1
-        if self.nesting > MAX_FORMULA_DEPTH:
-            raise self.too_deep(tok)
-
-    def grow(self, height: int, size: int, tok: _Token) -> None:
+def _climb(
+    tokens: list[str], i: int, min_prec: int, nesting: int, atom_index: dict[str, int]
+) -> tuple[Formula, int, int, int]:
+    """Precedence climbing from tokens[i]: an operand (any `!`s, then a
+    parenthesized formula, an atom or a constant), then every operator
+    binding at least as tightly as min_prec, tighter operators on the right
+    folded in first.  nesting counts the enclosing `(`, `!` and `->` levels;
+    atom_index maps each atom name to its index.
+    Returns the formula, the index after it, and its height and node count:
+    0 and 1 for an atom or a constant."""
+    start, depth = i, nesting
+    try:
+        tok = tokens[i]
+        while tok == "!":
+            depth += 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise _Fail(_TOO_DEEP, i)
+            i += 1
+            tok = tokens[i]
+    except IndexError:
+        raise _Fail(_END, i) from None
+    first = i
+    if tok == "(":
+        if depth >= MAX_FORMULA_DEPTH:
+            raise _Fail(_TOO_DEEP, i)
+        formula, i, height, size = _climb(tokens, i + 1, 1, depth + 1, atom_index)
+        if i == len(tokens):
+            raise _Fail(_END, i)
+        if tokens[i] != ")":
+            raise _Fail(f"expected ')', got {tokens[i]!r}", i)
+    else:
+        # no atom name is a reserved word in any case, so atoms come first
+        atom = atom_index.get(tok)
+        if atom is not None:
+            formula = ATOMS[atom]
+        else:
+            lowered = tok.lower()
+            formula = _CONSTANTS.get(lowered)
+            if formula is None:
+                if lowered in RESERVED_WORDS:
+                    raise _Fail(f"reserved word {tok!r} cannot appear in a formula", i)
+                if tok[0] in _NAME_START:
+                    raise _Fail(f"unknown atom: {tok}", i)
+                raise _Fail(f"unexpected token {tok!r}", i)
+        height, size = 0, 1
+    i += 1
+    while first > start:  # the `!`s, innermost first
+        first -= 1
+        height += 1
+        size += 1
         if height > MAX_FORMULA_DEPTH:
-            raise self.too_deep(tok)
+            raise _Fail(_TOO_DEEP, first)
         if size > MAX_FORMULA_SIZE:
-            raise ParseError(
-                f"formula expands to more than {MAX_FORMULA_SIZE} nodes", self.line, tok.column
-            )
-        self.height = height
-        self.size = size
+            raise _Fail(_TOO_BIG, first)
+        formula = Not(formula)
+    end = len(tokens)
+    while i < end:
+        row = _BINARY.get(tokens[i])
+        if row is None or row[0] < min_prec:
+            break
+        prec, build, left_height, right_height, base, mult = row
+        if build is implies:
+            # right associative: the right operand takes further `->`s
+            if nesting >= MAX_FORMULA_DEPTH:
+                raise _Fail(_TOO_DEEP, i)
+            right, after, h, n = _climb(tokens, i + 1, prec, nesting + 1, atom_index)
+        else:
+            right, after, h, n = _climb(tokens, i + 1, prec + 1, nesting, atom_index)
+        height = max(height + left_height, h + right_height)
+        size = base + mult * (size + n)
+        if height > MAX_FORMULA_DEPTH:
+            raise _Fail(_TOO_DEEP, i)
+        if size > MAX_FORMULA_SIZE:
+            raise _Fail(_TOO_BIG, i)
+        formula = build(formula, right)
+        i = after
+    return formula, i, height, size
 
-    def parse(self) -> Formula:
-        f = self.parse_binary(1)
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.column)
-        return f
 
-    def parse_binary(self, min_prec: int) -> Formula:
-        """An operand, then every operator binding at least as tightly as
-        min_prec: tighter operators on the right are folded in first."""
-        left = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.kind in _BINARY:
-            prec, build, left_height, right_height, base, mult = _BINARY[tok.kind]
-            if prec < min_prec:
-                break
-            self.take()
-            h, n = self.height, self.size
-            if tok.kind == "implies":
-                # right associative: the right operand takes further `->`s
-                self.descend(tok)
-                right = self.parse_binary(prec)
-                self.nesting -= 1
-            else:
-                right = self.parse_binary(prec + 1)
-            self.grow(
-                max(h + left_height, self.height + right_height), base + mult * (n + self.size), tok
-            )
-            left = build(left, right)
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.take()
-        if tok.kind == "not":
-            self.descend(tok)
-            child = self.parse_unary()
-            self.nesting -= 1
-            self.grow(self.height + 1, self.size + 1, tok)
-            return Not(child)
-        if tok.kind == "lparen":
-            self.descend(tok)
-            inner = self.parse_binary(1)
-            self.nesting -= 1
-            closing = self.take()
-            if closing.kind != "rparen":
-                raise ParseError(
-                    f"expected ')', got {closing.text!r}", self.line, closing.column
-                )
-            return inner
-        self.height, self.size = 0, 1
-        if tok.kind == "name":
-            lowered = tok.text.lower()
-            if lowered == "true":
-                return TRUE
-            if lowered == "false":
-                return FALSE
-            if lowered in ("wrt", "given"):
-                raise ParseError(
-                    f"reserved word {tok.text!r} cannot appear in a formula",
-                    self.line,
-                    tok.column,
-                )
-            try:
-                return ATOMS[self.vocab.index(tok.text)]
-            except KeyError:
-                raise ParseError(f"unknown atom: {tok.text}", self.line, tok.column) from None
-        raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.column)
+def _located(text: str, line: int, col_offset: int) -> list[tuple[str, int]]:
+    """Each token of text with its column; raises the ParseError for the
+    first character that starts no token."""
+    located = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        column = col_offset + m.start() + 1
+        if tok not in _PUNCTUATION and tok[0] not in _NAME_START:
+            raise ParseError(f"unexpected character {tok!r}", line, column)
+        located.append((tok, column))
+    return located
 
 
 def parse_formula(
     text: str, vocab: Vocabulary, line: int = 0, col_offset: int = 0
 ) -> Formula:
-    tokens = _tokenize(text, line, col_offset)
-    end_column = col_offset + len(text) + 1
-    return _FormulaParser(tokens, vocab, line, end_column).parse()
+    tokens = _TOKEN_RE.findall(text)
+    try:
+        # the name -> index dict behind vocab.index, where a miss is no error
+        formula, at, _, _ = _climb(tokens, 0, 1, 0, vocab._index)
+        if at == len(tokens):
+            return formula
+        message = f"unexpected token {tokens[at]!r}"
+    except _Fail as e:
+        message, at = e.args
+    # A parse that succeeds has read every token as an operator, a
+    # parenthesis or a name, so only a failed one needs the columns and the
+    # check for unexpected characters, which are reported first.
+    located = _located(text, line, col_offset)
+    column = located[at][1] if at < len(located) else col_offset + len(text) + 1
+    raise ParseError(message, line, column)
 
 
 # -- rule base files -----------------------------------------------------

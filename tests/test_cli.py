@@ -225,6 +225,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "parse error: line 2" in err
 
+    @pytest.mark.parametrize("word", ["true", "false", "wrt", "given"])
+    @pytest.mark.parametrize("casing", [str.lower, str.capitalize, str.upper])
+    def test_reserved_atom_name(self, tmp_path, capsys, word, casing):
+        name = casing(word)
+        path = tmp_path / "reserved.kb"
+        path.write_text(f"atoms: {name} b\nrule: b |~ {name}\n")
+        assert main(["rank", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: line 1, column 7: atom name {name!r} is a reserved word\n"
+
     @pytest.mark.parametrize("formula", ["(" * 300 + "a" + ")" * 300, "!" * 2000 + "a"])
     def test_deep_nesting(self, data_dir, capsys, formula):
         rc = main(["indep", str(data_dir / "sample.dist"), "-a", formula, "-c", "a"])

@@ -67,10 +67,20 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="bad atom name"):
             Vocabulary(("2x",))
 
-    @pytest.mark.parametrize("word", ["true", "false", "wrt", "given"])
+    @pytest.mark.parametrize(
+        "word",
+        ["true", "false", "wrt", "given", "True", "False", "Wrt", "Given", "TRUE", "FALSE", "WRT", "GIVEN"],
+    )
     def test_rejects_reserved(self, word):
         with pytest.raises(ValueError, match="reserved"):
             Vocabulary((word,))
+
+    @pytest.mark.parametrize("name", ["Truth", "given_x", "wrt2", "falsey", "TRUE_"])
+    def test_names_that_only_contain_a_reserved_word(self, name):
+        v = Vocabulary((name, "b"))
+        text = format_formula(And(v.atom(0), Not(v.atom(1))), v)
+        assert text == f"{name} & !b"
+        assert parse_formula(text, v) == And(Atom(0), Not(Atom(1)))
 
     def test_unknown_atom(self):
         with pytest.raises(KeyError):

@@ -26,9 +26,10 @@ from ordindep import (
     parse_kb,
 )
 from ordindep.logic import ATOMS, model_mask
-from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, _FormulaParser, _tokenize
+from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, _TOKEN_RE, _climb, _located
 from ordindep.ranking import Rule, RuleOrigin
 
+import parse_oracle
 from strategies import dists
 
 PBFL = Vocabulary(("p", "b", "f", "l"))
@@ -238,9 +239,8 @@ class TestGrammarDifferential:
                 parse_formula(text, ABC)
             return
         assert parse_formula(text, ABC) == want, text
-        parser = _FormulaParser(_tokenize(text, 0, 0), ABC, 0, len(text) + 1)
-        parser.parse()
-        assert (parser.height, parser.size) == (height, size), text
+        _, _, parsed_height, parsed_size = _climb(_TOKEN_RE.findall(text), 0, 1, 0, ABC._index)
+        assert (parsed_height, parsed_size) == (height, size), text
 
 
 # The tokenizer as first written: one anchored match per token, with no
@@ -271,8 +271,13 @@ def _oracle_tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, s
     return tokens
 
 
+_KINDS = {"(": "lparen", ")": "rparen", "<->": "iff", "->": "implies", "!": "not", "&": "and", "|": "or"}
+
+
 def _token_triples(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
-    return [(t.kind, t.text, t.column) for t in _tokenize(text, line, col_offset)]
+    located = _located(text, line, col_offset)
+    assert [tok for tok, _ in located] == _TOKEN_RE.findall(text), text
+    return [(_KINDS.get(tok, "name"), tok, column) for tok, column in located]
 
 
 def _outcome(tokenize, text: str, line: int, col_offset: int):
@@ -301,6 +306,103 @@ class TestTokenizerDifferential:
     def test_same_tokens_or_same_error(self, text, line, col_offset):
         want = _outcome(_oracle_tokenize, text, line, col_offset)
         assert _outcome(_token_triples, text, line, col_offset) == want, text
+
+
+# Vocabularies of 1, 3, 14 and 16 atoms, with names that differ only in
+# case, that contain a reserved word, and that a reserved word contains.
+V1 = Vocabulary(("a",))
+V3 = Vocabulary(("a", "B", "Truth"))
+V14 = Vocabulary(tuple(f"x{i:02d}" for i in range(14)))
+V16 = Vocabulary(
+    ("a", "A", "b", "given_x", "wrt2", "Truth", "_u", "x00", "x13", "Ab", "aB", "tru", "F", "x_1", "c", "ca")
+)
+_PIECES = (
+    *sorted(set(V1.atoms + V3.atoms + V14.atoms + V16.atoms)),
+    "b", "X00", "truth", "GIVEN_X", "zz", "q9",  # names most vocabularies lack, some a case away from known ones
+    "true", "True", "TRUE", "false", "False", "wrt", "Wrt", "WRT", "given", "Given", "GIVEN",
+    "<->", "->", "!", "&", "|", "(", ")", "<-", "-", "<", ">", "1", "9x", "\u00e9", "%", "~",
+)
+_SPACES = ("", "", " ", "  ", "\t", "\n")
+
+
+@st.composite
+def _token_texts(draw):
+    """Text made mostly of tokens, joined by no space or some whitespace."""
+    parts = draw(st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_PIECES)), max_size=14))
+    return "".join(space + piece for space, piece in parts) + draw(st.sampled_from(_SPACES))
+
+
+@st.composite
+def _formula_texts(draw, names: tuple[str, ...], depth: int = 4):
+    """Well-formed text over names, with random spacing around operators."""
+    kind = draw(st.integers(0, 3)) if depth else 0
+    if kind == 0:
+        return draw(st.sampled_from(names))
+    if kind == 1:
+        return "!" + draw(_formula_texts(names, depth - 1))
+    if kind == 2:
+        return "(" + draw(_formula_texts(names, depth - 1)) + ")"
+    op = draw(st.sampled_from(["<->", "->", "|", "&"]))
+    space = draw(st.sampled_from(_SPACES))
+    return draw(_formula_texts(names, depth - 1)) + space + op + space + draw(_formula_texts(names, depth - 1))
+
+
+def _cases(vocab: Vocabulary):
+    """(vocab, text): token-biased text, or a formula over vocab's atoms."""
+    names = vocab.atoms + ("true", "False", "TRUE")
+    return st.tuples(st.just(vocab), st.one_of(_token_texts(), _formula_texts(names)))
+
+
+def _leaves(f) -> list:
+    if isinstance(f, Not):
+        return _leaves(f.child)
+    if isinstance(f, (And, Or)):
+        return _leaves(f.left) + _leaves(f.right)
+    return [f]
+
+
+def _parsed(parse, text: str, vocab: Vocabulary, line: int, col_offset: int):
+    """The formula, or the error's message, line and column."""
+    try:
+        return parse(text, vocab, line, col_offset)
+    except ParseError as e:
+        return (e.message, e.line, e.column)
+
+
+def _chain(k: int) -> str:
+    return "(a" + " <-> a" * k + ")"
+
+
+_AT_SIZE_LIMIT = " & ".join([_chain(10), _chain(7), _chain(6), _chain(5), _chain(2), _chain(1), "!!!a"])
+
+
+class TestOracleDifferential:
+    """parse_formula against the tokenizer pass and parser object it replaced."""
+
+    @given(st.sampled_from([V1, V3, V14, V16]).flatmap(_cases), st.integers(0, 5), st.integers(0, 40))
+    @example((V3, "(" * 300 + "a" + ")" * 300), 3, 5)
+    @example((V3, "!" * 2000 + "a"), 3, 5)
+    @example((V16, "a" + "&a" * 2000), 3, 5)
+    @example((V16, "a" + "->a" * 1200), 3, 5)
+    @example((V1, "(" * 60 + "!" * 60 + "a" + ")" * 60), 3, 5)
+    @example((V1, "(" * 100 + "a" + ")" * 100), 0, 0)
+    @example((V1, "!" * 100 + "a"), 0, 0)
+    @example((V16, "a" + " | b" * 100), 0, 0)
+    @example((V1, "a" + " <-> a" * 10), 0, 0)
+    @example((V1, "a" + " <-> a" * 12), 3, 5)
+    @example((V1, _AT_SIZE_LIMIT), 0, 0)
+    @example((V1, _AT_SIZE_LIMIT.replace("!!!a", "!!!!a")), 0, 0)
+    @example((V1, "!(" + _AT_SIZE_LIMIT + ")"), 0, 0)
+    @example((V1, "(" * 300 + "a" + ")" * 300 + " \u00e9"), 1, 2)
+    @example((V1, "a" + " <-> a" * 12 + " %"), 0, 0)
+    @example((V14, "x03 & !x07"), 0, 0)
+    def test_same_formula_or_same_error(self, case, line, col_offset):
+        vocab, text = case
+        want = _parsed(parse_oracle.parse_formula, text, vocab, line, col_offset)
+        got = _parsed(parse_formula, text, vocab, line, col_offset)
+        assert got == want, text
+        if not isinstance(want, tuple):
+            assert [id(leaf) for leaf in _leaves(got)] == [id(leaf) for leaf in _leaves(want)], text
 
 
 class TestSharedAtomLeaves:
@@ -385,6 +487,14 @@ class TestKbParsing:
             parse_kb(text)
         assert fragment in str(ei.value)
         assert ei.value.line == line
+
+    @pytest.mark.parametrize("word", ["true", "false", "wrt", "given"])
+    @pytest.mark.parametrize("casing", [str.lower, str.capitalize, str.upper])
+    def test_reserved_atom_name_in_any_case(self, word, casing):
+        name = casing(word)
+        with pytest.raises(ParseError) as ei:
+            parse_kb(f"atoms: b {name}\nrule: b |~ b\n")
+        assert str(ei.value) == f"line 1, column 7: atom name {name!r} is a reserved word"
 
     def test_formula_error_carries_kb_line(self):
         with pytest.raises(ParseError) as ei:
