@@ -17,7 +17,8 @@ calls in ``measures`` and ``independence``, which read a distribution
 only through ``vocab``, ``top`` and ``poss_mask``, and a DistEnsemble's
 ``poss_mask`` looks every event up in every distribution at once.  A
 concrete Dist then confirms the first failure.  The relation-axiom probe
-runs the axiom statements on a stack of candidate relations instead.
+runs the axiom statements on a stack of candidate relations instead, and
+reads the realized relations off one DistEnsemble at top 2^n.
 
 The formula generator set is fixed and documented: the constants, every
 literal, and the four sign variants of conjunction and disjunction over
@@ -57,21 +58,24 @@ def lab_vocabulary(n: int) -> Vocabulary:
     return Vocabulary(LAB_ATOM_NAMES[:n])
 
 
-def enumerate_dists(n: int, top: int, budget: int = DEFAULT_BUDGET) -> Iterator[Dist]:
-    """Every normalized distribution over n atoms at the given scale.
-
-    Deterministic order: levels run through the plain product order with
-    the last world varying fastest; non-normalized tuples are skipped.
-    """
+def _scope(n: int, top: int, budget: int, max_top: int = MAX_LAB_TOP) -> Vocabulary:
+    """The vocabulary of a grid within 1..MAX_LAB_ATOMS atoms, scale
+    1..max_top and, in raw level tuples, the budget; the sweeps' gate."""
     vocab = lab_vocabulary(n)
-    if not (1 <= top <= MAX_LAB_TOP):
-        raise ValueError(f"scale top must be 1..{MAX_LAB_TOP}, got {top}")
+    if not (1 <= top <= max_top):
+        raise ValueError(f"scale top must be 1..{max_top}, got {top}")
     raw = (top + 1) ** vocab.world_count
     if raw > budget:
         raise BudgetError(f"enumerating {raw} level tuples exceeds budget {budget}")
-    for levels in itertools.product(range(top + 1), repeat=vocab.world_count):
-        if max(levels) == top:
-            yield Dist(vocab, top, levels)
+    return vocab
+
+
+def enumerate_dists(n: int, top: int, budget: int = DEFAULT_BUDGET) -> Iterator[Dist]:
+    """Every normalized distribution over n atoms at the given scale: the
+    rows of the (n, top) DistEnsemble, in its order."""
+    _scope(n, top, budget)
+    ensemble = DistEnsemble(n, top, budget)
+    yield from map(ensemble.dist_at, range(ensemble.count))
 
 
 def count_dists(n: int, top: int) -> int:
@@ -96,18 +100,22 @@ def generator_formulas(vocab: Vocabulary) -> tuple[Formula, ...]:
 
 
 class DistEnsemble:
-    """All enumerated distributions for one (n, top), as a level matrix
-    plus the event table ``P[event, dist]``: the possibility of every one
-    of the 2^(2^n) world sets in every distribution."""
+    """All normalized distributions for one (n, top), as an int8 level
+    matrix plus the event table ``P[event, dist]``: the possibility of every
+    one of the 2^(2^n) world sets in every distribution.  Rows follow the
+    product order of level tuples, last world fastest; any top whose levels
+    fit int8 is allowed, and the budget bounds the raw tuples."""
 
     def __init__(self, n: int, top: int, budget: int = DEFAULT_BUDGET):
-        self.vocab = lab_vocabulary(n)
+        self.vocab = _scope(n, top, budget, np.iinfo(np.int8).max)
         self.top = top
-        self.levels = np.array([d.levels for d in enumerate_dists(n, top, budget)], dtype=np.int8)  # top <= 3
+        worlds = self.vocab.world_count
+        grid = np.indices((top + 1,) * worlds, dtype=np.int8).reshape(worlds, -1).T
+        self.levels = grid[grid.max(axis=1) == top]
         # events 2^w .. 2^(w+1)-1 are the events below 2^w with world w
         # added: each row is the smaller event's row maxed with w's column
-        self.P = np.zeros((1 << self.vocab.world_count, self.count), dtype=np.int8)
-        for w in range(self.vocab.world_count):
+        self.P = np.zeros((1 << worlds, self.count), dtype=np.int8)
+        for w in range(worlds):
             self.P[1 << w : 2 << w] = np.maximum(self.P[: 1 << w], self.levels[:, w])
 
     @property
@@ -483,12 +491,13 @@ def check_law(
     The first False in C order over (formulas..., distribution) becomes
     the counterexample, once a run on that distribution alone confirms it.
     """
-    if ensemble is None:
-        ensemble = DistEnsemble(n, top, budget)
-    gens, count = generator_formulas(ensemble.vocab), ensemble.count
-    cost = law_cost(law, count, len(gens))
+    gens = generator_formulas(_scope(n, top, budget))
+    cost = law_cost(law, count_dists(n, top), len(gens))
     if cost > budget:
         raise BudgetError(f"law {law.law_id} needs {cost} evaluations, budget is {budget}")
+    if ensemble is None:
+        ensemble = DistEnsemble(n, top, budget)
+    count = ensemble.count
     ops, ids = ScalarOps(ensemble), np.array([model_mask(g, ensemble.vocab.n) for g in gens])
     chunks = [[ids[j : j + 1]] + [ids] * (law.arity - 1) for j in range(len(ids))] if law.arity else [[]]
     done = 0
@@ -507,12 +516,12 @@ def check_law(
 
 
 def _sweep(laws, n: int, top: int, budget: int, what: str) -> list[LawReport]:
-    """Check the laws on one shared ensemble; budget covers the total."""
-    ensemble = DistEnsemble(n, top, budget)
-    gens = len(generator_formulas(ensemble.vocab))
-    total = sum(law_cost(law, ensemble.count, gens) for law in laws)
+    """Check the laws on one shared ensemble, built once the budget covers the total."""
+    gens = len(generator_formulas(_scope(n, top, budget)))
+    total = sum(law_cost(law, count_dists(n, top), gens) for law in laws)
     if total > budget:
         raise BudgetError(f"{what} needs {total} evaluations, budget is {budget}")
+    ensemble = DistEnsemble(n, top, budget)
     return [check_law(law, n, top, budget, ensemble) for law in laws]
 
 
@@ -611,13 +620,6 @@ def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
     return bool(_admitted([bits], n, mode)[0])
 
 
-def _forced_pairs(n: int, mode: str) -> np.ndarray:
-    """The E x E pairs the exact probe fixes as dependent, in one reading."""
-    events = 1 << (1 << n)
-    x, y = np.ogrid[:events, :events]
-    return (y == 0) | (y == full_mask(n) ^ x) if mode == "printed" else (x & y) == 0
-
-
 class ProbeReport(Record):
     atoms: int
     candidates: int
@@ -626,14 +628,15 @@ class ProbeReport(Record):
     unrealized: tuple[int, ...]
 
 
-# the probes realize relations at these scales, and a sampled mutation
-# flips between one and PROBE_FLIPS pair bits
-PROBE_TOPS = (1, 2, 3)
+# a sampled mutation flips between one and PROBE_FLIPS pair bits
 PROBE_FLIPS = 3
 
 
 def _realized_relations(n: int) -> set[int]:
-    return {bits for top in PROBE_TOPS for bits in realized_relations(DistEnsemble(n, top))}
+    """The relations realized at any top: strong independence only compares
+    levels, so relabeling the positive levels in order keeps every verdict,
+    and 2^n worlds carry at most 2^n positive levels."""
+    return set(realized_relations(DistEnsemble(n, 1 << n)))
 
 
 def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> ProbeReport:
@@ -646,21 +649,11 @@ def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> 
 
 
 def completeness_probe_exact(mode: str = "printed") -> ProbeReport:
-    """Single-atom case: every abstract relation, checked outright.
-
-    With one atom there are 4 events and 16 pairs; the axiom-forced pair
-    slots are fixed up front and the loop only expands the free ones.
-    """
+    """Single-atom case: all 2^16 relations over the 4 x 4 event pairs,
+    checked outright, so the axioms alone decide which are admitted."""
     n = 1
-    forced = _forced_pairs(n, mode).ravel()
-    base = sum(1 << i for i in np.flatnonzero(forced).tolist())
-    # the last slot is (true, true), which the axioms exclude
-    free = [1 << i for i in np.flatnonzero(~forced).tolist() if i != forced.size - 1]
-    candidates = (
-        base + sum(bit for take, bit in zip(picks, free) if take)
-        for picks in itertools.product((0, 1), repeat=len(free))
-    )
-    return _score(n, candidates, _realized_relations(n), mode)
+    pairs = (1 << (1 << n)) ** 2
+    return _score(n, range(1 << pairs), _realized_relations(n), mode)
 
 
 def completeness_probe_sampled(samples: int = 500, seed: int = 0, mode: str = "printed") -> ProbeReport:

@@ -347,8 +347,9 @@ def test_axiom_probe_runs():
     proc = _python("scripts/axiom_probe.py")
     assert proc.returncode == 0, proc.stderr
     # the one-atom counts that tests/test_lawlab.py pins
-    assert "printed: 256 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
-    assert "schema: 64 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout
-    # the two-atom sampled counts at the default 500 samples, seed 0
-    assert "printed: 499 sampled non-realized relations, 84 satisfy the axioms" in proc.stdout
-    assert "schema: 499 sampled non-realized relations, 40 satisfy the axioms" in proc.stdout
+    assert "printed: 65536 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
+    assert "schema: 65536 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout
+    # the two-atom sampled counts at the default 500 samples, seed 0: one
+    # admitted draw per reading is a realized relation
+    assert "printed: 500 distinct sampled relations, 109 satisfy the axioms, 1 realized" in proc.stdout
+    assert "schema: 500 distinct sampled relations, 50 satisfy the axioms, 1 realized" in proc.stdout

@@ -140,6 +140,23 @@ class TestEnumeration:
         with pytest.raises(BudgetError, match="exceeds budget"):
             list(enumerate_dists(3, 3, budget=10))
 
+    @pytest.mark.parametrize("n,top", [(1, 3), (2, 2), (2, 4), (3, 1), (1, 127)])
+    def test_ensemble_rows_are_the_filtered_product(self, n, top):
+        # the ensemble is not bound to the lab's top <= 3, only to int8
+        want = [list(t) for t in itertools.product(range(top + 1), repeat=1 << n) if max(t) == top]
+        ens = DistEnsemble(n, top)
+        assert ens.levels.dtype == np.int8
+        assert ens.levels.tolist() == want
+        assert ens.count == count_dists(n, top)
+
+    def test_ensemble_scale_bounds(self):
+        with pytest.raises(ValueError, match=r"scale top must be 1\.\.127, got 128"):
+            DistEnsemble(1, 128)
+        with pytest.raises(ValueError, match=r"scale top must be 1\.\.127, got 0"):
+            DistEnsemble(1, 0)
+        with pytest.raises(BudgetError, match="enumerating 390625 level tuples exceeds budget 1000"):
+            DistEnsemble(3, 4, budget=1000)
+
 
 class TestGeneratorFormulas:
     @pytest.mark.parametrize("n,expected", [(1, 4), (2, 14), (3, 16)])
@@ -207,7 +224,7 @@ class TestBackendAgreement:
 
     def test_event_table_is_every_mask_of_every_dist(self):
         ens = DistEnsemble(2, 3)
-        dists = list(enumerate_dists(2, 3))
+        dists = [Dist(ens.vocab, 3, t) for t in itertools.product(range(4), repeat=4) if max(t) == 3]
         assert [ens.dist_at(i) for i in range(ens.count)] == dists
         for mask in range(1 << 4):
             assert ens.poss_mask(mask).tolist() == [d.poss_mask(mask) for d in dists], mask
@@ -260,6 +277,20 @@ class TestCheckLaw:
     def test_law_by_id_unknown(self):
         with pytest.raises(KeyError):
             law_by_id("no-such-law")
+
+    def test_refused_sweeps_build_no_ensemble(self, monkeypatch):
+        # at (3, 3) the raw tuples fit the default budget but the
+        # evaluations do not: the refusal comes from count_dists alone
+        def refuse(*args):
+            raise AssertionError("a refused sweep built a DistEnsemble")
+
+        monkeypatch.setattr(lawlab, "DistEnsemble", refuse)
+        with pytest.raises(BudgetError, match="full catalog needs 4453909950 evaluations"):
+            run_catalog(3, 3)
+        with pytest.raises(BudgetError, match="criteria table needs 5797478400 evaluations"):
+            criteria_table(3, 3)
+        with pytest.raises(BudgetError, match="law strong-symmetric needs 15097600 evaluations"):
+            check_law(law_by_id("strong-symmetric"), 3, 3)
 
 
 def _reference_check(law, n, top, ensemble):
@@ -501,16 +532,16 @@ class TestStatements:
 class TestRelationProbe:
     def test_realized_relation_counts(self):
         assert len(_realized_relations(1)) == 5
-        assert len(_realized_relations(2)) == 125
+        assert len(_realized_relations(2)) == 149
 
     def test_exact_probe_printed(self):
         rep = completeness_probe_exact(mode="printed")
-        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (1, 256, 60, 5)
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (1, 1 << 16, 60, 5)
         assert len(rep.unrealized) == 55
 
     def test_exact_probe_schema(self):
         rep = completeness_probe_exact(mode="schema")
-        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (1, 64, 20, 5)
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (1, 1 << 16, 20, 5)
         assert len(rep.unrealized) == 15
 
     def test_axioms_sound_on_realized(self):
@@ -526,9 +557,9 @@ class TestRelationProbe:
 
     def test_sampled_probe_pinned(self):
         rep = completeness_probe_sampled(samples=120, seed=0)
-        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 23, 0)
+        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 24, 0)
         rep = completeness_probe_sampled(samples=120, seed=0, mode="schema")
-        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 11, 0)
+        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 9, 0)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown axiom mode"):
@@ -538,9 +569,8 @@ class TestRelationProbe:
 
     @pytest.mark.parametrize("mode,satisfying", [("printed", 60), ("schema", 20)])
     def test_every_one_atom_relation(self, mode, satisfying):
-        # all 2^16 relations at once: the axioms admit exactly the relations
-        # the exact probe admits, so fixing the forced pairs up front and
-        # leaving (true, true) clear loses none
+        # all 2^16 relations at once, straight through _admitted: the exact
+        # probe reports the same admitted set, realized and unrealized
         admitted = set(np.flatnonzero(_admitted(range(1 << 16), 1, mode)).tolist())
         assert len(admitted) == satisfying
         rep = completeness_probe_exact(mode=mode)
@@ -604,8 +634,9 @@ class TestAxiomOracle:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_exact_probe_candidate(self, mode):
-        # the one-atom candidates, built as first written: forced pairs
-        # set, (true, true) clear, every subset of the remaining slots
+        # the one-atom relations that set the pairs the pinning axioms
+        # force and clear (true, true): every other relation breaks one of
+        # those axioms, so the oracle's admitted list is the probe's
         events = 4
         forced_in, forced_out = _reference_forced_pairs(events, events - 1, mode)
         free = [
@@ -630,10 +661,10 @@ class TestAxiomOracle:
             bits |= 1 << (events * events - 1)
             assert relation_axioms_hold(bits, 1, mode) is _reference_axioms_hold(bits, 1, mode)
         rep = completeness_probe_exact(mode=mode)
-        assert rep.candidates == len(candidates)
+        assert rep.candidates == 1 << 16
         assert rep.satisfying == len(admitted)
         realized = _realized_relations(1)
-        assert rep.unrealized == tuple(b for b in admitted if b not in realized)
+        assert rep.unrealized == tuple(sorted(b for b in admitted if b not in realized))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_realized_relation(self, n):
@@ -708,7 +739,7 @@ class TestRealizedRelationKey:
         # with the same world preorder can still differ on which worlds sit
         # at level 0, and that changes the realized relation
         seen = {}
-        ens = DistEnsemble(2, 3)
+        ens = DistEnsemble(2, 4)
         for i, rel in enumerate(realized_relations(ens)):
             d = ens.dist_at(i)
             order = sorted(set(d.levels))
@@ -716,4 +747,24 @@ class TestRealizedRelationKey:
             zeros = tuple(x == 0 for x in d.levels)
             key = (ranks, zeros)
             assert seen.setdefault(key, rel) == rel
-        assert len(seen) == 125
+        # 2 * 75 - 1: each of the 75 weak orders of four worlds, with its
+        # lowest block at 0 or not, except one block alone at 0
+        assert len(seen) == 149
+
+
+class TestRealizedRelationScope:
+    @pytest.mark.parametrize("n,count", [(1, 5), (2, 149)])
+    def test_top_2n_realizes_every_top(self, n, count):
+        # the union over tops 1..2^n+1 of the relations of plain Dists,
+        # each pair read with one independence call
+        vocab = lab_vocabulary(n)
+        events = 1 << vocab.world_count
+        pairs = list(itertools.product(range(events), repeat=2))
+        union = set()
+        for top in range(1, (1 << n) + 2):
+            for levels in itertools.product(range(top + 1), repeat=vocab.world_count):
+                if max(levels) == top:
+                    d = Dist(vocab, top, levels)
+                    union.add(sum(1 << (x * events + y) for x, y in pairs if not ind.strong_indep_masks(d, x, y)))
+        assert len(union) == count
+        assert _realized_relations(n) == union
