@@ -490,7 +490,10 @@ def check_law(
     """Quantify one law over the full enumeration and the generator set.
     The first False in C order over (formulas..., distribution) becomes
     the counterexample, once a run on that distribution alone confirms it.
+    A passed ensemble must be the (n, top) grid; ValueError otherwise.
     """
+    if ensemble is not None and (ensemble.vocab.n, ensemble.top) != (n, top):
+        raise ValueError(f"ensemble is the ({ensemble.vocab.n}, {ensemble.top}) grid, not ({n}, {top})")
     gens = generator_formulas(_scope(n, top, budget))
     cost = law_cost(law, count_dists(n, top), len(gens))
     if cost > budget:

@@ -1,10 +1,13 @@
 """Exception-tolerant default rules and the ranking they induce.
 
 A rule "A |~ B" reads "if A, normally B".  A rule is tolerated by a set
-of rules when some world verifies it (satisfies A and B) while breaking
-no rule in the set.  Repeatedly peeling off the tolerated rules splits a
+of rules when some world verifies it (satisfies A and B) outside the
+union of the set's violations (the worlds satisfying some antecedent and
+not its consequent).  Repeatedly peeling off the tolerated rules splits a
 consistent base into strata of increasing specificity; a base where the
-peeling gets stuck is inconsistent.
+peeling gets stuck is inconsistent.  Each rule's verification and
+violation masks are built once per stratification, and each round takes
+one union of the remaining rules' violations.
 
 The induced distribution puts every world as high as the strata allow:
 top for worlds violating nothing, and one step below the top stratum it
@@ -74,34 +77,40 @@ def _viol_mask(rule: Rule, n: int) -> int:
 
 
 def tolerates(others: tuple[Rule, ...], rule: Rule, vocab: Vocabulary) -> bool:
-    """Some world verifies the rule while breaking none of the others.
+    """Some world verifies the rule outside the union of the others' violations.
 
     Including the rule itself among the others changes nothing, since a
-    verifying world always satisfies the rule's own material form.
+    verifying world never violates its own rule.
     """
     n = vocab.n
-    mask = _verif_mask(rule, n)
+    broken = 0
     for other in others:
-        if not mask:
-            return False
-        mask &= ~_viol_mask(other, n)
-    return mask != 0
+        broken |= _viol_mask(other, n)
+    return _verif_mask(rule, n) & ~broken != 0
 
 
 def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
     """Partition rule indices into tolerance strata, most general first.
 
+    A round's stratum is every remaining rule that verifies outside the
+    union of the remaining rules' violations; each rule's masks are built
+    once, so a round costs one union and one AND per remaining rule.
     Works on the base as given (callers wanting dedup do it beforehand).
     Raises ConsistencyError when the remaining rules tolerate none of
     their own, and ValueError on an empty base.
     """
     if not kb.rules:
         raise ValueError("rule base has no rules")
+    n = kb.vocab.n
+    verif = [_verif_mask(r, n) for r in kb.rules]
+    viol = [_viol_mask(r, n) for r in kb.rules]
     remaining = list(range(len(kb.rules)))
     strata: list[frozenset[int]] = []
     while remaining:
-        pool = tuple(kb.rules[j] for j in remaining)
-        tolerated = [i for i in remaining if tolerates(pool, kb.rules[i], kb.vocab)]
+        broken = 0
+        for i in remaining:
+            broken |= viol[i]
+        tolerated = [i for i in remaining if verif[i] & ~broken]
         if not tolerated:
             raise ConsistencyError(tuple(kb.rules[i] for i in remaining), kb.vocab)
         stratum = frozenset(tolerated)
@@ -140,6 +149,8 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
     vocab = base.vocab
     n = vocab.n
     m = len(strata)
+    verif = [_verif_mask(r, n) for r in base.rules]
+    viol = [_viol_mask(r, n) for r in base.rules]
 
     priorities = [0] * len(base.rules)
     levels = [m] * vocab.world_count
@@ -147,13 +158,13 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
         violated = 0
         for i in members:
             priorities[i] = s + 1
-            violated |= _viol_mask(base.rules[i], n)
+            violated |= viol[i]
         for w in mask_worlds(violated):  # later strata overwrite earlier ones
             levels[w] = m - 1 - s
     pi_star = Dist(vocab, m, tuple(levels))
 
-    for i, rule in enumerate(base.rules):
-        if pi_star.poss_mask(_verif_mask(rule, n)) <= pi_star.poss_mask(_viol_mask(rule, n)):
+    for i in range(len(base.rules)):
+        if pi_star.poss_mask(verif[i]) <= pi_star.poss_mask(viol[i]):
             raise RuntimeError(f"ranking failed to accept rule {i}; stratification is broken")
     return StratifiedRanking(vocab, base.rules, strata, pi_star, tuple(priorities))
 

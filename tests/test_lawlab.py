@@ -268,6 +268,13 @@ class TestCheckLaw:
         with pytest.raises(BudgetError):
             check_law(law_by_id("strong-symmetric"), 2, 3, budget=10)
 
+    def test_ensemble_of_another_grid_rejected(self):
+        # a report labelled (1, 1) must not carry a two-atom top-3 witness
+        with pytest.raises(ValueError, match=r"ensemble is the \(2, 3\) grid, not \(1, 1\)"):
+            check_law(law_by_id("strong-symmetric"), 1, 1, ensemble=DistEnsemble(2, 3))
+        with pytest.raises(ValueError, match=r"ensemble is the \(1, 2\) grid, not \(1, 1\)"):
+            check_law(law_by_id("strong-symmetric"), 1, 1, ensemble=DistEnsemble(1, 2))
+
     def test_backend_disagreement_raises(self):
         # false on the ensemble, true on every single Dist
         law = Law("single-dist-only", 1, "", lambda o, x: isinstance(o.dist, Dist))

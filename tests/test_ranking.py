@@ -21,8 +21,10 @@ from ordindep import (
     query,
     stratify,
 )
+from ordindep import ranking as ranking_module
 from ordindep.ranking import Rule, RuleBase, RuleOrigin, inject_independence, tolerates
 
+import stratify_oracle
 from checks import constraints_satisfied, raisable_worlds
 from strategies import consistent_rule_bases, dist_with_formulas, rule_bases
 
@@ -210,6 +212,43 @@ class TestPiStarDifferential:
     def test_inconsistent_base_has_no_model(self, kb):
         assume(_ranking_or_none(kb) is None)
         assert next(_accepting_levels(kb.vocab, kb.rules, len(kb.rules)), None) is None
+
+
+def _strata_or_residual(stratify_fn, kb):
+    """The strata, or the residual rules (by identity, in order) of the
+    ConsistencyError the stratification raises."""
+    try:
+        return stratify_fn(kb)
+    except ConsistencyError as e:
+        assert e.vocab is kb.vocab
+        return [id(r) for r in e.residual]
+
+
+class TestStratifyOracle:
+    """stratify against the per-rule tolerates loop it replaced."""
+
+    @given(rule_bases() | consistent_rule_bases())
+    @example(parse_kb(PENGUIN_3).base())
+    @example(parse_kb(THREE_STRATA).base())
+    @example(parse_kb("atoms: a b\nrule: a |~ b\nrule: true |~ a\nrule: a |~ !b\n").base())
+    def test_matches_oracle(self, kb):
+        assert _strata_or_residual(stratify, kb) == _strata_or_residual(stratify_oracle.stratify, kb)
+
+    @pytest.mark.parametrize("name", ["penguin.kb", "penguin_fixed.kb", "nolegs.kb", "contradictory.kb"])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_matches_oracle_on_corpus(self, data_dir, name, injected):
+        _, base = load(data_dir, name, injected)
+        assert _strata_or_residual(stratify, base) == _strata_or_residual(stratify_oracle.stratify, base)
+
+    def test_mask_builds_linear_in_rules(self, data_dir, monkeypatch):
+        # the per-rule tolerates loop built 91 violation masks here
+        _, base = load(data_dir, "nolegs.kb", injected=True)
+        built = []
+        viol_mask = ranking_module._viol_mask
+        monkeypatch.setattr(ranking_module, "_viol_mask", lambda rule, n: built.append(rule) or viol_mask(rule, n))
+        ranking = compute_pi_star(base)
+        assert (len(ranking.rules), len(ranking.strata)) == (8, 2)
+        assert len(built) <= 2 * len(ranking.rules)
 
 
 class TestQueries:
