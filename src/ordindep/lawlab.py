@@ -1,11 +1,11 @@
 """Exhaustive desk-scale checking of candidate laws.
 
 Everything here quantifies over *all* normalized distributions for a small
-vocabulary (up to 3 atoms) and scale (top up to 3), crossed with a fixed
-finite formula generator set.  A law that survives such a sweep is not
-proved, but a law that fails is definitively refuted, and every reported
-counterexample is re-verified through the plain scalar implementations
-before it is returned.
+vocabulary (up to 3 atoms) and scale (top up to 3 on named grids; a given
+DistEnsemble may go higher), crossed with a fixed finite generator set.
+A law that survives such a sweep is not proved, but a law that fails is
+definitively refuted, and every reported counterexample is re-verified
+through the plain scalar implementations before it is returned.
 
 Each law is written once, as a statement (``Law.note``) in a small
 grammar over the ScalarOps methods and ``top``, and compiled at import into
@@ -484,28 +484,22 @@ def _grid(law: Law, ops, pools: list[np.ndarray], n: int, sources: int) -> np.nd
     return np.broadcast_to(law.predicate(ops, *leaves), [len(pool) for pool in pools] + [sources])
 
 
-def check_law(
-    law: Law, n: int, top: int, budget: int = DEFAULT_BUDGET, ensemble: Optional[DistEnsemble] = None
-) -> LawReport:
-    """Quantify one law over the full enumeration and the generator set.
+def check_law(law: Law, ensemble: DistEnsemble, budget: int = DEFAULT_BUDGET) -> LawReport:
+    """Quantify one law over every distribution of the ensemble and the
+    generator set of its vocabulary; the report's grid is the ensemble's.
     The first False in C order over (formulas..., distribution) becomes
     the counterexample, once a run on that distribution alone confirms it.
-    A passed ensemble must be the (n, top) grid; ValueError otherwise.
     """
-    if ensemble is not None and (ensemble.vocab.n, ensemble.top) != (n, top):
-        raise ValueError(f"ensemble is the ({ensemble.vocab.n}, {ensemble.top}) grid, not ({n}, {top})")
-    gens = generator_formulas(_scope(n, top, budget))
-    cost = law_cost(law, count_dists(n, top), len(gens))
+    n, top, count = ensemble.vocab.n, ensemble.top, ensemble.count
+    gens = generator_formulas(ensemble.vocab)
+    cost = law_cost(law, count, len(gens))
     if cost > budget:
         raise BudgetError(f"law {law.law_id} needs {cost} evaluations, budget is {budget}")
-    if ensemble is None:
-        ensemble = DistEnsemble(n, top, budget)
-    count = ensemble.count
-    ops, ids = ScalarOps(ensemble), np.array([model_mask(g, ensemble.vocab.n) for g in gens])
+    ops, ids = ScalarOps(ensemble), np.array([model_mask(g, n) for g in gens])
     chunks = [[ids[j : j + 1]] + [ids] * (law.arity - 1) for j in range(len(ids))] if law.arity else [[]]
     done = 0
     for pools in chunks:
-        grid = _grid(law, ops, pools, ops.n, count)
+        grid = _grid(law, ops, pools, n, count)
         if not grid.all():
             flat = done + int(np.argmin(grid))
             *picks, i = np.unravel_index(flat, (len(gens),) * law.arity + (count,))
@@ -525,7 +519,7 @@ def _sweep(laws, n: int, top: int, budget: int, what: str) -> list[LawReport]:
     if total > budget:
         raise BudgetError(f"{what} needs {total} evaluations, budget is {budget}")
     ensemble = DistEnsemble(n, top, budget)
-    return [check_law(law, n, top, budget, ensemble) for law in laws]
+    return [check_law(law, ensemble, budget) for law in laws]
 
 
 def run_catalog(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[LawReport]:
@@ -576,9 +570,11 @@ def realized_relations(ensemble: DistEnsemble) -> list[int]:
     events: bit x*E + y is set when event x is dependent with event y.
 
     One broadcast call reads every event pair off the event table, so it
-    builds (E, E, count) tables: intended for n <= 2 (16 x 16 x 175 at
+    builds (E, E, count) tables: limited to n <= 2 (16 x 16 x 175 at
     (2, 3)); at (3, 2) each would be 256 x 256 x 6305, over 400 MB.
     """
+    if ensemble.vocab.n > 2:
+        raise ValueError(f"realized relations support 1..2 atoms, got {ensemble.vocab.n}")
     events = len(ensemble.P)
     ids = np.arange(events)
     dep = ~indep.strong_indep_masks(ensemble, ids[:, None], ids[None, :])
@@ -617,7 +613,7 @@ def _admitted(relations: Iterable[int], n: int, mode: str) -> np.ndarray:
 
 def relation_axioms_hold(bits: int, n: int, mode: str = "printed") -> bool:
     """The dependence axioms of one reading, on one relation bitset."""
-    pairs = (1 << (1 << n)) ** 2
+    pairs = (1 << lab_vocabulary(n).world_count) ** 2
     if not 0 <= bits < 1 << pairs:
         raise ValueError(f"relation bits must lie in [0, 2**{pairs}) at {n} atoms")
     return bool(_admitted([bits], n, mode)[0])

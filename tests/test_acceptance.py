@@ -167,7 +167,7 @@ def test_criterion_2_definition_characterization_agreement():
                 f" wanted {expected_counts[(n, top)]}"
             )
         for law_id in ("strong-defs-agree", "weak-defs-agree"):
-            rep = check_law(law_by_id(law_id), n, top, ensemble=ensemble)
+            rep = check_law(law_by_id(law_id), ensemble)
             if not rep.holds:
                 problems.append(
                     f"{law_id} at ({n}, {top}):\n"
@@ -260,6 +260,7 @@ def test_criterion_3_law_catalog():
 def test_criterion_4_criteria_table():
     problems: list[str] = []
     for n, top in GRIDS:
+        ensemble = DistEnsemble(n, top)
         cells = {
             (c.relation, c.criterion): c
             for c in criteria_table(n, top, budget=BIG_BUDGET)
@@ -279,7 +280,7 @@ def test_criterion_4_criteria_table():
             )
         for law_id in sorted(CLAIMED_EQUIVALENCES | REFUTED_EQUIVALENCES):
             law = law_by_id(law_id)
-            rep = check_law(law, n, top, budget=BIG_BUDGET)
+            rep = check_law(law, ensemble, budget=BIG_BUDGET)
             if law_id in REFUTED_EQUIVALENCES:
                 problems += refutation_problems(
                     law_id, n, top, rep.holds, rep.counterexample, law.predicate
@@ -296,13 +297,13 @@ def test_criterion_4_criteria_table():
 
 def test_criterion_5_order_reconstruction():
     problems: list[str] = []
-    strict = check_law(law_by_id("strong-order-embedding-strict"), 2, 3)
+    strict = check_law(law_by_id("strong-order-embedding-strict"), DistEnsemble(2, 3))
     if not strict.holds:
         problems.append(
             "strict-order reconstruction refuted:\n"
             + format_counterexample(strict.counterexample, indent=8)
         )
-    weak_form = check_law(law_by_id("strong-order-embedding-weak-form"), 2, 3)
+    weak_form = check_law(law_by_id("strong-order-embedding-weak-form"), DistEnsemble(2, 3))
     verdict = "holds" if weak_form.holds else "refuted"
     report(5, "order reconstruction", problems, note=f"weak-form variant: {verdict}")
 
@@ -333,7 +334,7 @@ def test_criterion_6_pi_star_maximality(data_dir):
 def test_criterion_7_rational_monotony_sweep():
     problems: list[str] = []
     law = law_by_id("rational-monotony")
-    rep = check_law(law, 3, 2, budget=50_000_000)
+    rep = check_law(law, DistEnsemble(3, 2), budget=50_000_000)
     if not rep.holds:
         problems.append(
             "rational monotony refuted:\n"

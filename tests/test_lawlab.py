@@ -247,39 +247,32 @@ class TestBackendAgreement:
 class TestCheckLaw:
     def test_true_law_reports_full_cost(self):
         law = law_by_id("poss-disjunction-max")
-        rep = check_law(law, 2, 2)
+        rep = check_law(law, DistEnsemble(2, 2))
         assert rep.holds
         assert rep.counterexample is None
         assert rep.evaluations == law_cost(law, 65, 14)
 
     def test_false_law_counterexample_reverifies(self):
-        rep = check_law(law_by_id("strong-symmetric"), 2, 2)
+        rep = check_law(law_by_id("strong-symmetric"), DistEnsemble(2, 2))
         assert not rep.holds
         ce = rep.counterexample
         a, c = ce.formulas
         assert ind.strong_indep(ce.dist, a, c) != ind.strong_indep(ce.dist, c, a)
 
     def test_first_counterexample_is_deterministic(self):
-        r1 = check_law(law_by_id("weak-contraposition-split"), 2, 2)
-        r2 = check_law(law_by_id("weak-contraposition-split"), 2, 2)
+        r1 = check_law(law_by_id("weak-contraposition-split"), DistEnsemble(2, 2))
+        r2 = check_law(law_by_id("weak-contraposition-split"), DistEnsemble(2, 2))
         assert r1.counterexample == r2.counterexample
 
     def test_budget_gate(self):
         with pytest.raises(BudgetError):
-            check_law(law_by_id("strong-symmetric"), 2, 3, budget=10)
-
-    def test_ensemble_of_another_grid_rejected(self):
-        # a report labelled (1, 1) must not carry a two-atom top-3 witness
-        with pytest.raises(ValueError, match=r"ensemble is the \(2, 3\) grid, not \(1, 1\)"):
-            check_law(law_by_id("strong-symmetric"), 1, 1, ensemble=DistEnsemble(2, 3))
-        with pytest.raises(ValueError, match=r"ensemble is the \(1, 2\) grid, not \(1, 1\)"):
-            check_law(law_by_id("strong-symmetric"), 1, 1, ensemble=DistEnsemble(1, 2))
+            check_law(law_by_id("strong-symmetric"), DistEnsemble(2, 3), budget=10)
 
     def test_backend_disagreement_raises(self):
         # false on the ensemble, true on every single Dist
         law = Law("single-dist-only", 1, "", lambda o, x: isinstance(o.dist, Dist))
         with pytest.raises(RuntimeError, match="backend disagreement on law single-dist-only"):
-            check_law(law, 1, 1)
+            check_law(law, DistEnsemble(1, 1))
 
     def test_law_by_id_unknown(self):
         with pytest.raises(KeyError):
@@ -291,13 +284,15 @@ class TestCheckLaw:
         def refuse(*args):
             raise AssertionError("a refused sweep built a DistEnsemble")
 
+        # check_law is handed its grid, so it is built before the patch
+        ensemble = DistEnsemble(3, 3)
         monkeypatch.setattr(lawlab, "DistEnsemble", refuse)
         with pytest.raises(BudgetError, match="full catalog needs 4453909950 evaluations"):
             run_catalog(3, 3)
         with pytest.raises(BudgetError, match="criteria table needs 5797478400 evaluations"):
             criteria_table(3, 3)
         with pytest.raises(BudgetError, match="law strong-symmetric needs 15097600 evaluations"):
-            check_law(law_by_id("strong-symmetric"), 3, 3)
+            check_law(law_by_id("strong-symmetric"), ensemble)
 
 
 def _reference_check(law, n, top, ensemble):
@@ -328,13 +323,14 @@ def _cell_laws():
 
 
 class TestSweepKernel:
-    @pytest.mark.parametrize("n,top", [(2, 2), (2, 3)])
+    # (1, 4) lies above the lab's top: only an ensemble reaches it
+    @pytest.mark.parametrize("n,top", [(2, 2), (2, 3), (1, 4)])
     def test_matches_the_per_tuple_loop(self, n, top):
         ens = DistEnsemble(n, top)
         ids = _event_ids(ens.vocab)
         for law in (*CATALOG, *_cell_laws()):
             want, rows = _reference_check(law, n, top, ens)
-            assert check_law(law, n, top, budget=10**9, ensemble=ens) == want, law.law_id
+            assert check_law(law, ens, budget=10**9) == want, law.law_id
             grid = _grid(law, ScalarOps(ens), [ids] * law.arity, n, ens.count)
             assert np.array_equal(grid, rows), law.law_id
 
@@ -480,15 +476,15 @@ class TestStatements:
         oracle = next(o for o in law_oracle.CATALOG if o.law_id == law_id)
         ens = DistEnsemble(n, top)
         _assert_grids_agree(ens, law.predicate, oracle.predicate, 2, law_id)
-        report = check_law(law, n, top, budget=10**9, ensemble=ens)
-        assert report == check_law(oracle, n, top, budget=10**9, ensemble=ens)
+        report = check_law(law, ens, budget=10**9)
+        assert report == check_law(oracle, ens, budget=10**9)
         assert report.holds
 
     def test_distribution_free_statements(self):
         ens = DistEnsemble(2, 3)
-        rep = check_law(_law("conjunction-entails-conjunct", "entails(a & b, a)"), 2, 3, ensemble=ens)
+        rep = check_law(_law("conjunction-entails-conjunct", "entails(a & b, a)"), ens)
         assert rep.holds and rep.evaluations == 14 * 14 * ens.count
-        rep = check_law(_law("everything-entails", "entails(a, b)"), 2, 3, ensemble=ens)
+        rep = check_law(_law("everything-entails", "entails(a, b)"), ens)
         assert not rep.holds
         assert rep.counterexample == Counterexample(ens.dist_at(0), (TRUE, FALSE))
         assert rep.evaluations == 2 * ens.count
@@ -596,6 +592,17 @@ class TestRelationProbe:
         # dependent, (true, true) included
         assert relation_axioms_hold(0, n) is False
         assert relation_axioms_hold((1 << pairs) - 1, n) is False
+
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_atoms_outside_the_lab_rejected(self, n):
+        # checked before the bitset bound 2**(E*E), a 2**32-bit integer at 4 atoms
+        with pytest.raises(ValueError, match=r"lab vocabulary supports 1\.\.3 atoms"):
+            relation_axioms_hold(0, n)
+
+    def test_three_atom_ensemble_rejected(self):
+        # refused before the (256, 256, count) broadcast
+        with pytest.raises(ValueError, match=r"realized relations support 1\.\.2 atoms, got 3"):
+            realized_relations(DistEnsemble(3, 1))
 
 
 def _reference_forced_pairs(events, full, mode):
