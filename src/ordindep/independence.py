@@ -13,9 +13,11 @@ Each of the latter two also has a "direct" formulation written purely in
 terms of the four cell possibilities; the pairs must agree everywhere,
 which the law catalog checks exhaustively.
 
-The cell forms live once, in the ``*_masks`` functions over world-set
-bitmasks; ``classify``, the formula-level functions and the relation probe
-in ``lawlab`` all call them.  Like ``measures``, everything here reads a
+Each cell form lives once, in a function of formulas (``related_z``,
+``strong_indep_direct``, ``weak_indep_direct``) that reads the formulas'
+world-set masks; ``classify`` takes its verdicts from them.  Event arrays
+reach them only as ``lawlab._EventIds`` leaves, formulas whose masks are
+arrays of event ids.  Like ``measures``, everything here reads a
 distribution only through ``vocab``, ``top`` and ``poss_mask`` and combines
 verdicts with ``&``, so it runs unchanged on a ``lawlab.DistEnsemble``; only
 ``classify``, which uses ``not`` and builds an ``IndepReport``, needs a
@@ -44,34 +46,15 @@ def _masks(d: Dist, a: Formula, c: Formula) -> tuple[int, int]:
     return model_mask(a, d.vocab.n), model_mask(c, d.vocab.n)
 
 
-def related_z_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
-    """Zadeh relatedness of two world sets.
+def related_z(d: Dist, a: Formula, c: Formula) -> bool:
+    """Zadeh relatedness: poss(a & c) differs from min(poss(a), poss(c)).
 
     poss(a & c) is at most both poss(a) and poss(c), so it differs from
     their min exactly when it differs from each of them.
     """
+    a_mask, c_mask = _masks(d, a, c)
     pac = d.poss_mask(a_mask & c_mask)
     return (pac != d.poss_mask(a_mask)) & (pac != d.poss_mask(c_mask))
-
-
-def strong_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
-    """Cell form of strong independence of two world sets."""
-    nc_mask = full_mask(d.vocab.n) ^ c_mask
-    pnc = d.poss_mask(nc_mask)
-    return (d.poss_mask(a_mask) > pnc) & (pnc == d.poss_mask(a_mask & nc_mask))
-
-
-def weak_indep_masks(d: Dist, a_mask: int, c_mask: int) -> bool:
-    """Cell form of weak independence of two world sets."""
-    full = full_mask(d.vocab.n)
-    return (d.poss_mask(a_mask & c_mask) > d.poss_mask(a_mask & (full ^ c_mask))) & (
-        d.poss_mask(c_mask) > d.poss_mask((full ^ a_mask) & (full ^ c_mask))
-    )
-
-
-def related_z(d: Dist, a: Formula, c: Formula) -> bool:
-    """Zadeh relatedness: poss(a & c) differs from min(poss(a), poss(c))."""
-    return related_z_masks(d, *_masks(d, a, c))
 
 
 def strong_indep(d: Dist, a: Formula, c: Formula) -> bool:
@@ -82,7 +65,10 @@ def strong_indep(d: Dist, a: Formula, c: Formula) -> bool:
 
 def strong_indep_direct(d: Dist, a: Formula, c: Formula) -> bool:
     """Cell form of strong independence: poss(a) > poss(!c) = poss(a & !c)."""
-    return strong_indep_masks(d, *_masks(d, a, c))
+    a_mask, c_mask = _masks(d, a, c)
+    nc_mask = full_mask(d.vocab.n) ^ c_mask
+    pnc = d.poss_mask(nc_mask)
+    return (d.poss_mask(a_mask) > pnc) & (pnc == d.poss_mask(a_mask & nc_mask))
 
 
 def weak_indep(d: Dist, a: Formula, c: Formula) -> bool:
@@ -93,7 +79,11 @@ def weak_indep(d: Dist, a: Formula, c: Formula) -> bool:
 def weak_indep_direct(d: Dist, a: Formula, c: Formula) -> bool:
     """Cell form of weak independence: poss(a & c) > poss(a & !c) and
     poss(c) > poss(!a & !c)."""
-    return weak_indep_masks(d, *_masks(d, a, c))
+    a_mask, c_mask = _masks(d, a, c)
+    full = full_mask(d.vocab.n)
+    return (d.poss_mask(a_mask & c_mask) > d.poss_mask(a_mask & (full ^ c_mask))) & (
+        d.poss_mask(c_mask) > d.poss_mask((full ^ a_mask) & (full ^ c_mask))
+    )
 
 
 def contraction_dep(d: Dist, a: Formula, c: Formula) -> bool:
@@ -112,9 +102,9 @@ def classify(d: Dist, a: Formula, c: Formula) -> IndepReport:
     full = full_mask(d.vocab.n)
     na_mask, nc_mask = full ^ a_mask, full ^ c_mask
     return IndepReport(
-        unrelated_z=not related_z_masks(d, a_mask, c_mask),
-        weak=weak_indep_masks(d, a_mask, c_mask),
-        strong=strong_indep_masks(d, a_mask, c_mask),
+        unrelated_z=not related_z(d, a, c),
+        weak=weak_indep_direct(d, a, c),
+        strong=strong_indep_direct(d, a, c),
         poss_ac=d.poss_mask(a_mask & c_mask),
         poss_a_nc=d.poss_mask(a_mask & nc_mask),
         poss_na_c=d.poss_mask(na_mask & c_mask),

@@ -569,15 +569,16 @@ def realized_relations(ensemble: DistEnsemble) -> list[int]:
     in ensemble order, each packed as a bitset over the E = 2^(2^n)
     events: bit x*E + y is set when event x is dependent with event y.
 
-    One broadcast call reads every event pair off the event table, so it
+    One ``strong_indep_direct`` call on two event-id leaves, the ids along
+    axes 0 and 1, reads every event pair off the event table, so it
     builds (E, E, count) tables: limited to n <= 2 (16 x 16 x 175 at
     (2, 3)); at (3, 2) each would be 256 x 256 x 6305, over 400 MB.
     """
-    if ensemble.vocab.n > 2:
-        raise ValueError(f"realized relations support 1..2 atoms, got {ensemble.vocab.n}")
-    events = len(ensemble.P)
+    n, events = ensemble.vocab.n, len(ensemble.P)
+    if n > 2:
+        raise ValueError(f"realized relations support 1..2 atoms, got {n}")
     ids = np.arange(events)
-    dep = ~indep.strong_indep_masks(ensemble, ids[:, None], ids[None, :])
+    dep = ~indep.strong_indep_direct(ensemble, _EventIds(ids[:, None], n), _EventIds(ids[None, :], n))
     packed = np.packbits(dep.reshape(events * events, ensemble.count), axis=0, bitorder="little")
     return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 

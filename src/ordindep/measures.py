@@ -3,11 +3,12 @@
 Levels live on an integer scale 0..top.  A distribution assigns one level
 to every world and must put at least one world at the top; possibility of
 a set of worlds is the max level over the set (0 for the empty set), and
-necessity of a formula is top minus the possibility of its complement.
+necessity is its dual: ``nec(f)`` is top minus ``poss(Not(f))``.
 
 Conditioning is min-based: the level of the conclusion-and-antecedent
 region is promoted to top when it realizes the antecedent's possibility,
-and kept as is otherwise.
+and kept as is otherwise; ``cond_nec(c, a)`` is top minus
+``cond_poss(Not(c), a)``.
 
 The measures read a distribution only through ``vocab``, ``top`` and
 ``poss_mask(mask)`` and use no operator that needs a plain int, so they
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from .logic import Formula, Record, Vocabulary, full_mask, model_mask
+from .logic import Formula, Not, Record, Vocabulary, model_mask
 
 
 class TriState(enum.Enum):
@@ -89,28 +90,24 @@ def poss(d: Dist, f: Formula) -> int:
 
 
 def nec(d: Dist, f: Formula) -> int:
-    """Necessity: top minus the possibility of the complement."""
-    n = d.vocab.n
-    return d.top - d.poss_mask(full_mask(n) ^ model_mask(f, n))
-
-
-def _cond_poss_masks(d: Dist, c_mask: int, a_mask: int) -> int:
-    pa = d.poss_mask(a_mask)
-    pac = d.poss_mask(a_mask & c_mask)
-    # top where pac realizes pa, pac elsewhere
-    return pac + (pac == pa) * (d.top - pac)
+    """Necessity, the dual of possibility: top minus the possibility of not f."""
+    return d.top - poss(d, Not(f))
 
 
 def cond_poss(d: Dist, conclusion: Formula, given: Formula) -> int:
     """Min-based conditional possibility of conclusion given antecedent."""
     n = d.vocab.n
-    return _cond_poss_masks(d, model_mask(conclusion, n), model_mask(given, n))
+    a_mask = model_mask(given, n)
+    pa = d.poss_mask(a_mask)
+    pac = d.poss_mask(a_mask & model_mask(conclusion, n))
+    # top where pac realizes pa, pac elsewhere
+    return pac + (pac == pa) * (d.top - pac)
 
 
 def cond_nec(d: Dist, conclusion: Formula, given: Formula) -> int:
-    """Conditional necessity, dual of conditional possibility."""
-    n = d.vocab.n
-    return d.top - _cond_poss_masks(d, full_mask(n) ^ model_mask(conclusion, n), model_mask(given, n))
+    """Conditional necessity, the dual of conditional possibility: top minus
+    the conditional possibility of not conclusion."""
+    return d.top - cond_poss(d, Not(conclusion), given)
 
 
 def entails(d: Dist, evidence: Formula, conclusion: Formula) -> TriState:

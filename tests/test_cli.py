@@ -337,6 +337,17 @@ def test_only_logic_builds_the_full_mask_and_no_private_imports():
                 assert not private, (path.name, node.lineno, private)
 
 
+def test_measures_and_relations_take_formulas_not_masks():
+    # each measure and relation is one function of formulas; event arrays
+    # come in as formula leaves, never as mask parameters
+    for name in ("measures.py", "independence.py"):
+        tree = ast.parse((REPO / "src" / "ordindep" / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+                assert not [p for p in params if p.endswith("_mask")], (name, node.name, params)
+
+
 def test_penguin_walkthrough_runs():
     proc = _python("scripts/penguin_walkthrough.py")
     assert proc.returncode == 0, proc.stderr

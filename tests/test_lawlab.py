@@ -770,15 +770,16 @@ class TestRealizedRelationScope:
     @pytest.mark.parametrize("n,count", [(1, 5), (2, 149)])
     def test_top_2n_realizes_every_top(self, n, count):
         # the union over tops 1..2^n+1 of the relations of plain Dists,
-        # each pair read with one independence call
+        # each pair read with the definitional (conditional-necessity) call
         vocab = lab_vocabulary(n)
         events = 1 << vocab.world_count
+        leaves = [_EventIds(x, n) for x in range(events)]
         pairs = list(itertools.product(range(events), repeat=2))
         union = set()
         for top in range(1, (1 << n) + 2):
             for levels in itertools.product(range(top + 1), repeat=vocab.world_count):
                 if max(levels) == top:
                     d = Dist(vocab, top, levels)
-                    union.add(sum(1 << (x * events + y) for x, y in pairs if not ind.strong_indep_masks(d, x, y)))
+                    union.add(sum(1 << (x * events + y) for x, y in pairs if not ind.strong_indep(d, leaves[x], leaves[y])))
         assert len(union) == count
         assert _realized_relations(n) == union

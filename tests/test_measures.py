@@ -29,7 +29,7 @@ from ordindep import (
     qpo_geq,
 )
 from ordindep.lawlab import enumerate_dists
-from ordindep.logic import full_mask, model_mask
+from ordindep.logic import evaluate, full_mask, model_mask
 
 from strategies import dist_with_formulas, dists, vocabs
 
@@ -107,6 +107,25 @@ class TestPossibilityOracle:
         assert hash(twin) == hash(WORKED)
         assert "_bands" not in repr(WORKED)
         assert Dist(AC, 3, (1, 2, 1, 3)) != WORKED
+
+
+class TestMeasureOracle:
+    """nec, cond_poss and cond_nec against the levels of the worlds that
+    logic.evaluate picks out, with no mask and no Not node."""
+
+    @given(dist_with_formulas(count=2, max_top=4))
+    def test_against_levels(self, dfg):
+        d, c, a = dfg
+
+        def level(keep) -> int:
+            return _oracle_poss(d.levels, [w for w in range(d.vocab.world_count) if keep(w)])
+
+        pa = level(lambda w: evaluate(w, a))
+        pac = level(lambda w: evaluate(w, a) and evaluate(w, c))
+        pa_nc = level(lambda w: evaluate(w, a) and not evaluate(w, c))
+        assert nec(d, c) == d.top - level(lambda w: not evaluate(w, c))
+        assert cond_poss(d, c, a) == (d.top if pac == pa else pac)
+        assert cond_nec(d, c, a) == d.top - (d.top if pa_nc == pa else pa_nc)
 
 
 class TestUnconditionalMeasures:
