@@ -66,10 +66,10 @@ from .parsing import (
 # that importing the package for ranking and queries does not pay for it.
 _LAWLAB_NAMES = (
     "CATALOG",
+    "CELLS",
     "DEFAULT_BUDGET",
     "BudgetError",
     "Counterexample",
-    "CriterionReport",
     "DistEnsemble",
     "Law",
     "LawReport",

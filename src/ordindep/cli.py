@@ -149,18 +149,17 @@ def _cmd_table(args) -> int:
     from .lawlab import CRITERIA, RELATIONS, criteria_table, format_counterexample
 
     reports = criteria_table(args.atoms, args.top, _budget(args))
-    verdict = {(r.criterion, r.relation): r for r in reports}
     width = max(len("criterion"), max(len(c) for c in CRITERIA))
     header = "criterion".ljust(width) + "".join(rel.rjust(8) for rel in RELATIONS)
     print(header)
     for criterion in CRITERIA:
         row = criterion.ljust(width)
         for relation in RELATIONS:
-            row += ("yes" if verdict[(criterion, relation)].holds else "no").rjust(8)
+            row += ("yes" if reports[(relation, criterion)].holds else "no").rjust(8)
         print(row)
     for criterion in CRITERIA:
         for relation in RELATIONS:
-            rep = verdict[(criterion, relation)]
+            rep = reports[(relation, criterion)]
             if not rep.holds:
                 print(f"counterexample for {relation} {criterion}:")
                 print(format_counterexample(rep.counterexample, indent=2))

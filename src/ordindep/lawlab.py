@@ -9,8 +9,9 @@ through the plain scalar implementations before it is returned.
 
 Each law is written once, as a statement (``Law.note``) in a small
 grammar over the ScalarOps methods and ``top``, and compiled at import into
-the predicate that is checked; the criteria table's cells are generated
-statements on the same path, and so are the dependence axioms.  A law
+the predicate that is checked, in ``CATALOG``; the criteria table's cells
+are generated statements, compiled at import into ``CELLS`` and swept on
+the same path, and the dependence axioms are catalog laws.  A law
 is swept in one predicate call per value of its first argument, on
 leaves that stand for arrays of event ids: ScalarOps adapts the library
 calls in ``measures`` and ``independence``, which read a distribution
@@ -72,10 +73,11 @@ def _scope(n: int, top: int, budget: int, max_top: int = MAX_LAB_TOP) -> Vocabul
 
 def enumerate_dists(n: int, top: int, budget: int = DEFAULT_BUDGET) -> Iterator[Dist]:
     """Every normalized distribution over n atoms at the given scale: the
-    rows of the (n, top) DistEnsemble, in its order."""
+    rows of the (n, top) DistEnsemble, in its order; the grid is checked
+    when called."""
     _scope(n, top, budget)
     ensemble = DistEnsemble(n, top, budget)
-    yield from map(ensemble.dist_at, range(ensemble.count))
+    return map(ensemble.dist_at, range(ensemble.count))
 
 
 def count_dists(n: int, top: int) -> int:
@@ -345,9 +347,11 @@ def _cell(relation: str, criterion: str) -> str:
     return f"implies({first} and {other}, {conclusion})"
 
 
-def composition_predicate(relation: str, criterion: str) -> Callable:
-    """The law predicate of one relation x criterion cell, arity 3."""
-    return _law("", _cell(relation, criterion)).predicate
+# Every relation x criterion cell's law, relations outermost, compiled at
+# import like the catalog.
+CELLS: dict[tuple[str, str], Law] = {
+    (r, c): _law(f"{r.lower()}-{c.lower()}", _cell(r, c)) for r in RELATIONS for c in CRITERIA
+}
 
 
 # -- the catalog -----------------------------------------------------------
@@ -527,24 +531,10 @@ def run_catalog(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[LawRepor
     return _sweep(CATALOG, n, top, budget, "full catalog")
 
 
-class CriterionReport(Record):
-    criterion: str
-    relation: str
-    atoms: int
-    top: int
-    holds: bool
-    counterexample: Optional[Counterexample]
-
-
-def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> list[CriterionReport]:
-    """All 8 composition criteria crossed with the 3 relations."""
-    cells = [(relation, criterion) for relation in RELATIONS for criterion in CRITERIA]
-    laws = [_law(f"{r.lower()}-{c.lower()}", _cell(r, c)) for r, c in cells]
-    reports = _sweep(laws, n, top, budget, "criteria table")
-    return [
-        CriterionReport(criterion, relation, n, top, rep.holds, rep.counterexample)
-        for (relation, criterion), rep in zip(cells, reports)
-    ]
+def criteria_table(n: int, top: int, budget: int = DEFAULT_BUDGET) -> dict[tuple[str, str], LawReport]:
+    """All 8 composition criteria crossed with the 3 relations: each cell's
+    report, keyed as in CELLS."""
+    return dict(zip(CELLS, _sweep(CELLS.values(), n, top, budget, "criteria table")))
 
 
 # -- completeness probe ------------------------------------------------

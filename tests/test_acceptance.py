@@ -51,12 +51,12 @@ from ordindep import (
 )
 from ordindep import independence as ind
 from ordindep.lawlab import (
+    CELLS,
     CRITERIA,
     RELATIONS,
     DistEnsemble,
     ScalarOps,
     check_law,
-    composition_predicate,
     format_counterexample,
     law_cost,
 )
@@ -261,10 +261,7 @@ def test_criterion_4_criteria_table():
     problems: list[str] = []
     for n, top in GRIDS:
         ensemble = DistEnsemble(n, top)
-        cells = {
-            (c.relation, c.criterion): c
-            for c in criteria_table(n, top, budget=BIG_BUDGET)
-        }
+        cells = criteria_table(n, top, budget=BIG_BUDGET)
         for relation, criterion in CLAIMED_CELLS:
             cell = cells[(relation, criterion)]
             if not cell.holds:
@@ -276,7 +273,7 @@ def test_criterion_4_criteria_table():
             cell = cells[(relation, criterion)]
             problems += refutation_problems(
                 f"{relation} x {criterion}", n, top, cell.holds, cell.counterexample,
-                composition_predicate(relation, criterion),
+                CELLS[(relation, criterion)].predicate,
             )
         for law_id in sorted(CLAIMED_EQUIVALENCES | REFUTED_EQUIVALENCES):
             law = law_by_id(law_id)

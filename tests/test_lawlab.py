@@ -32,6 +32,7 @@ from ordindep import (
 from ordindep import independence as ind
 from ordindep import lawlab, measures
 from ordindep.lawlab import (
+    CELLS,
     CRITERIA,
     RELATIONS,
     Counterexample,
@@ -45,7 +46,6 @@ from ordindep.lawlab import (
     _grid,
     _law,
     _realized_relations,
-    composition_predicate,
     law_cost,
 )
 
@@ -131,10 +131,11 @@ class TestEnumeration:
         for perm in itertools.permutations(range(4)):
             assert {tuple(t[p] for p in perm) for t in tuples} == tuples
 
-    @pytest.mark.parametrize("n,top", [(0, 1), (4, 1), (1, 0), (1, 4)])
+    # the call itself refuses, before anything iterates it
+    @pytest.mark.parametrize("n,top", [(0, 1), (4, 1), (1, 0), (1, 4), (9, 1)])
     def test_grid_bounds(self, n, top):
         with pytest.raises(ValueError):
-            list(enumerate_dists(n, top))
+            enumerate_dists(n, top)
 
     def test_budget_gate(self):
         with pytest.raises(BudgetError, match="exceeds budget"):
@@ -318,17 +319,13 @@ def _event_ids(vocab):
     return np.array([model_mask(g, vocab.n) for g in generator_formulas(vocab)])
 
 
-def _cell_laws():
-    return [_law(f"{r.lower()}-{c.lower()}", _cell(r, c)) for r in RELATIONS for c in CRITERIA]
-
-
 class TestSweepKernel:
     # (1, 4) lies above the lab's top: only an ensemble reaches it
     @pytest.mark.parametrize("n,top", [(2, 2), (2, 3), (1, 4)])
     def test_matches_the_per_tuple_loop(self, n, top):
         ens = DistEnsemble(n, top)
         ids = _event_ids(ens.vocab)
-        for law in (*CATALOG, *_cell_laws()):
+        for law in (*CATALOG, *CELLS.values()):
             want, rows = _reference_check(law, n, top, ens)
             assert check_law(law, ens, budget=10**9) == want, law.law_id
             grid = _grid(law, ScalarOps(ens), [ids] * law.arity, n, ens.count)
@@ -386,10 +383,26 @@ class TestCatalog:
 
 
 class TestCriteriaTable:
+    def test_cells_compile_at_import(self, monkeypatch):
+        assert list(CELLS) == [(r, c) for r in RELATIONS for c in CRITERIA]
+        for (relation, criterion), law in CELLS.items():
+            assert law.note == _cell(relation, criterion)
+            assert law.arity == 3
+        ids = [law.law_id for law in CELLS.values()]
+        assert len(set(ids)) == len(ids) == 24
+        assert not set(ids) & {law.law_id for law in CATALOG}
+
+        def refuse(*args):
+            raise AssertionError("a sweep compiled a statement")
+
+        monkeypatch.setattr(lawlab, "_law", refuse)
+        assert list(criteria_table(1, 1)) == list(CELLS)
+        assert len(run_catalog(1, 1)) == len(CATALOG)
+
     def test_verdicts_at_2_3(self):
         cells = criteria_table(2, 3, budget=20_000_000)
         assert len(cells) == len(RELATIONS) * len(CRITERIA) == 24
-        got = {(c.relation, c.criterion): c.holds for c in cells}
+        got = {cell: rep.holds for cell, rep in cells.items()}
         assert got == TABLE_2_3
 
     def test_default_budget_is_too_small_here(self):
@@ -398,17 +411,16 @@ class TestCriteriaTable:
             criteria_table(2, 3)
 
     def test_failing_cells_carry_counterexamples(self):
-        cells = criteria_table(2, 2)
-        for c in cells:
-            assert c.holds == (c.counterexample is None)
+        for rep in criteria_table(2, 2).values():
+            assert rep.holds == (rep.counterexample is None)
 
     def test_cell_laws_match_their_cells(self):
-        cells = {(c.relation, c.criterion): c for c in criteria_table(2, 2)}
+        cells = criteria_table(2, 2)
         reports = {r.law_id: r for r in run_catalog(2, 2)}
         for law_id, cell in CELL_LAWS.items():
             law = law_by_id(law_id)
             assert law.note == _cell(*cell)
-            assert law.predicate.__code__ == composition_predicate(*cell).__code__
+            assert law.predicate.__code__ == CELLS[cell].predicate.__code__
             rep = reports[law_id]
             assert (rep.holds, rep.counterexample) == (cells[cell].holds, cells[cell].counterexample)
 
@@ -438,7 +450,7 @@ def _assert_cells_agree(n, top):
         for criterion in CRITERIA:
             if (relation, criterion) in CELL_LAWS.values():
                 continue
-            compiled = composition_predicate(relation, criterion)
+            compiled = CELLS[(relation, criterion)].predicate
             oracle = law_oracle.composition_predicate(relation, criterion)
             _assert_grids_agree(ens, compiled, oracle, 3, (relation, criterion))
 

@@ -29,7 +29,7 @@ from ordindep import (
     StratifiedRanking,
     logic,
 )
-from ordindep.lawlab import Counterexample, CriterionReport, Law, LawReport, ProbeReport
+from ordindep.lawlab import Counterexample, Law, LawReport, ProbeReport
 from ordindep.logic import MAX_ATOMS, Record, _atom_pattern, evaluate, full_mask, mask_worlds
 
 from strategies import formulas, vocabs
@@ -258,10 +258,6 @@ RECORDS = {
         {"law_id": "x", "atoms": 2, "top": 3, "evaluations": 10, "holds": False,
          "counterexample": Counterexample(DIST, (A,))},
         None,
-    ),
-    CriterionReport: (
-        {"criterion": "CCD", "relation": "Zadeh", "atoms": 2, "top": 3, "holds": True, "counterexample": None},
-        Counterexample(DIST, ()),
     ),
     ProbeReport: ({"atoms": 1, "candidates": 64, "satisfying": 20, "realized": 5, "unrealized": ()}, (7,)),
 }
