@@ -55,19 +55,27 @@ class Dist(Record):
         count = self.vocab.world_count
         if len(self.levels) != count:
             raise ValueError(f"need {count} levels for {self.vocab.n} atoms, got {len(self.levels)}")
-        rows: dict[int, bytearray] = {}  # level -> its band as binary digits, world 0 last
+        at: dict[int, list[int]] = {}  # positive level -> its worlds
         for w, lv in enumerate(self.levels):
             if not (0 <= lv <= self.top):
                 raise ValueError(f"level {lv} at world {w} outside 0..{self.top}")
             if lv:
-                row = rows.get(lv)
-                if row is None:
-                    row = rows[lv] = bytearray(b"0") * count
-                row[count - 1 - w] = 0x31  # "1"
-        if self.top not in rows:
+                worlds = at.get(lv)
+                if worlds is None:
+                    at[lv] = [w]
+                else:
+                    worlds.append(w)
+        if self.top not in at:
             raise ValueError("distribution is not normalized: no world at the top level")
-        bands = tuple((lv, int(rows[lv], 2)) for lv in sorted(rows, reverse=True))
-        object.__setattr__(self, "_bands", bands)
+        # each band is built from a count-byte row of binary digits, world 0
+        # last; there can be up to count levels, so one row lives at a time
+        bands = []
+        for lv in sorted(at, reverse=True):
+            row = bytearray(b"0") * count
+            for w in at[lv]:
+                row[~w] = 0x31  # "1"
+            bands.append((lv, int(row, 2)))
+        object.__setattr__(self, "_bands", tuple(bands))
 
     def poss_mask(self, mask: int) -> int:
         """Max level over a world bitmask; 0 for the empty mask.

@@ -18,6 +18,18 @@ texts, and precedence climbing builds the tree from them.  Columns are
 worked out only when a parse fails, for its error.  A parsed formula's
 atom leaves are the shared ``logic.ATOMS`` nodes, so a parse builds only
 the operator nodes above them.
+
+``parse_formula`` answers a repeated query from a memo keyed by the text
+and the vocabulary's atom names: it returns the very formula the first
+successful parse built, along with the masks already memoized on its
+nodes.  The memo holds at most ``MEMO_NODES`` (2,048) formula nodes,
+counted as the parser counts them, and drops its oldest texts to stay
+within that; a formula larger than the whole bound is not stored.  So
+the masks it can pin come to at most 2,048 * 2**n / 8 bytes for n atoms:
+4 MB at 14 atoms, 16 MB at 16.  A failed parse is never stored, and
+``line`` and ``col_offset`` shape only the error, so every error is
+raised afresh with its own position.  ``parse_kb`` and ``parse_dist``
+neither read nor fill the memo: a document's texts are parsed once.
 """
 
 from __future__ import annotations
@@ -179,15 +191,16 @@ def _located(text: str, line: int, col_offset: int) -> list[tuple[str, int]]:
     return located
 
 
-def parse_formula(
-    text: str, vocab: Vocabulary, line: int = 0, col_offset: int = 0
-) -> Formula:
+def _parse(text: str, vocab: Vocabulary, line: int, col_offset: int) -> tuple[Formula, int]:
+    """The formula text denotes over vocab, built afresh, and its node
+    count; a failure raises the ParseError for it at the given line, with
+    columns counted from col_offset."""
     tokens = _TOKEN_RE.findall(text)
     try:
         # the name -> index dict behind vocab.index, where a miss is no error
-        formula, at, _, _ = _climb(tokens, 0, 1, 0, vocab._index)
+        formula, at, _, size = _climb(tokens, 0, 1, 0, vocab._index)
         if at == len(tokens):
-            return formula
+            return formula, size
         message = f"unexpected token {tokens[at]!r}"
     except _Fail as e:
         message, at = e.args
@@ -197,6 +210,36 @@ def parse_formula(
     located = _located(text, line, col_offset)
     column = located[at][1] if at < len(located) else col_offset + len(text) + 1
     raise ParseError(message, line, column)
+
+
+# The memo's bound, in formula nodes (see the module docstring).  Queries
+# over one rule base ask a few hundred distinct texts, a few nodes each.
+MEMO_NODES = 2_048
+
+# (text, atom names) -> (formula, node count), oldest first
+_memo: dict[tuple[str, tuple[str, ...]], tuple[Formula, int]] = {}
+_memo_nodes = 0  # the node counts in _memo, summed
+
+
+def parse_formula(
+    text: str, vocab: Vocabulary, line: int = 0, col_offset: int = 0
+) -> Formula:
+    """The formula text denotes over vocab, from the memo when the same
+    text was parsed over the same atom names before."""
+    global _memo_nodes
+    # keyed by the atoms tuple: hashing the Vocabulary record would build
+    # a tuple of its fields on every call
+    key = (text, vocab.atoms)
+    held = _memo.get(key)
+    if held is not None:
+        return held[0]
+    formula, size = _parse(text, vocab, line, col_offset)
+    if size <= MEMO_NODES:
+        _memo_nodes += size
+        while _memo_nodes > MEMO_NODES:
+            _memo_nodes -= _memo.pop(next(iter(_memo)))[1]
+        _memo[key] = formula, size
+    return formula
 
 
 # -- rule base files -----------------------------------------------------
@@ -270,8 +313,8 @@ def parse_kb(text: str) -> ParsedDocument:
                     f"a rule needs exactly one {RULE_SEPARATOR!r}", line, rest_offset + 1
                 )
             split_at = rest.index(RULE_SEPARATOR)
-            antecedent = parse_formula(rest[:split_at], vocab, line, rest_offset)
-            consequent = parse_formula(
+            antecedent, _ = _parse(rest[:split_at], vocab, line, rest_offset)
+            consequent, _ = _parse(
                 rest[split_at + len(RULE_SEPARATOR) :],
                 vocab,
                 line,
@@ -292,11 +335,11 @@ def parse_kb(text: str) -> ParsedDocument:
             wrt_m, given_m = wrt_hits[0], given_hits[0]
             if wrt_m.start() > given_m.start():
                 raise ParseError("'wrt' must come before 'given'", line, rest_offset + wrt_m.start() + 1)
-            conclusion = parse_formula(rest[: wrt_m.start()], vocab, line, rest_offset)
-            extra = parse_formula(
+            conclusion, _ = _parse(rest[: wrt_m.start()], vocab, line, rest_offset)
+            extra, _ = _parse(
                 rest[wrt_m.end() : given_m.start()], vocab, line, rest_offset + wrt_m.end()
             )
-            context = parse_formula(rest[given_m.end() :], vocab, line, rest_offset + given_m.end())
+            context, _ = _parse(rest[given_m.end() :], vocab, line, rest_offset + given_m.end())
             directives.append(IndepDirective(conclusion, extra, context))
         else:
             raise ParseError(f"unknown directive: {head!r}", line, 1)

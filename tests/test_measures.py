@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -64,6 +65,27 @@ class TestDistValidation:
         assert not WORKED.is_total_order()
         four = Dist(AC, 3, (0, 1, 2, 3))
         assert four.is_total_order()
+
+    def test_all_distinct_levels_build_one_row_at_a_time(self):
+        # 2**13 levels, each its own band: one 8 KB row of binary digits
+        # per level, all held at once, would peak near 70 MB
+        count = 1 << 13
+        levels = list(range(1, count + 1))
+        random.Random(13).shuffle(levels)
+        levels = tuple(levels)
+        vocab = Vocabulary(tuple(f"x{i}" for i in range(13)))
+        tracemalloc.start()
+        try:
+            d = Dist(vocab, count, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        want: dict[int, int] = {}
+        for w, lv in enumerate(levels):
+            want[lv] = want.get(lv, 0) | 1 << w
+        assert d._bands == tuple(sorted(want.items(), reverse=True))
+        assert d.is_total_order()
 
 
 def _oracle_poss(levels, worlds) -> int:

@@ -26,7 +26,8 @@ from ordindep import (
     parse_kb,
 )
 from ordindep.logic import ATOMS, model_mask
-from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, _TOKEN_RE, _climb, _located
+from ordindep import parsing
+from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, MEMO_NODES, _TOKEN_RE, _climb, _located, _parse
 from ordindep.ranking import Rule, RuleOrigin
 
 import parse_oracle
@@ -397,12 +398,87 @@ class TestOracleDifferential:
     @example((V1, "a" + " <-> a" * 12 + " %"), 0, 0)
     @example((V14, "x03 & !x07"), 0, 0)
     def test_same_formula_or_same_error(self, case, line, col_offset):
+        # each text is parsed twice: a miss on the emptied memo, then a hit
         vocab, text = case
         want = _parsed(parse_oracle.parse_formula, text, vocab, line, col_offset)
-        got = _parsed(parse_formula, text, vocab, line, col_offset)
-        assert got == want, text
-        if not isinstance(want, tuple):
-            assert [id(leaf) for leaf in _leaves(got)] == [id(leaf) for leaf in _leaves(want)], text
+        _clear_memo()
+        for _ in range(2):
+            got = _parsed(parse_formula, text, vocab, line, col_offset)
+            assert got == want, text
+            if not isinstance(want, tuple):
+                assert [id(leaf) for leaf in _leaves(got)] == [id(leaf) for leaf in _leaves(want)], text
+
+
+def _clear_memo() -> None:
+    parsing._memo.clear()
+    parsing._memo_nodes = 0
+
+
+def _memo_consistent() -> bool:
+    """Every held entry's count is its tree's node count, and the running
+    total is their sum, within the bound."""
+    held = parsing._memo.values()
+    return (
+        all(size == _nodes(f) for f, size in held)
+        and parsing._memo_nodes == sum(size for _, size in held) <= MEMO_NODES
+    )
+
+
+class TestFormulaMemo:
+    def test_repeat_under_an_equal_vocabulary_is_the_same_object(self):
+        text = "a & !b | a"
+        first = parse_formula(text, AB)
+        assert parse_formula(text, Vocabulary(("a", "b"))) is first
+        assert parse_formula(text, AB, line=3, col_offset=9) is first
+        assert first == _parse(text, AB, 0, 0)[0]
+        assert _memo_consistent()
+
+    def test_other_atom_order_is_another_tree(self):
+        text = "a & !b"
+        ab = parse_formula(text, AB)
+        ba = parse_formula(text, Vocabulary(("b", "a")))
+        assert ab != ba
+        assert ba == _parse(text, Vocabulary(("b", "a")), 0, 0)[0] == And(Atom(1), Not(Atom(0)))
+        assert parse_formula(text, AB) is ab
+
+    @pytest.mark.parametrize("text", ["a & zz", "a %", "(a", "a b", "!" * 150 + "a", "a" + " <-> a" * 12])
+    def test_errors_are_raised_afresh_and_never_stored(self, text):
+        for line, col_offset in ((0, 0), (2, 7), (5, 1)):
+            want = _parsed(parse_oracle.parse_formula, text, AB, line, col_offset)
+            assert isinstance(want, tuple)
+            assert _parsed(parse_formula, text, AB, line, col_offset) == want
+            assert (text, AB.atoms) not in parsing._memo
+
+    def test_kb_and_dist_parsing_leave_the_memo_alone(self, data_dir):
+        _clear_memo()
+        parse_kb((data_dir / "penguin_fixed.kb").read_text())
+        parse_kb("atoms: a b\nrule: a & !b |~ b\nindep: a wrt b given a | b\n")
+        parse_dist((data_dir / "sample.dist").read_text())
+        assert parsing._memo == {} and parsing._memo_nodes == 0
+        parse_formula("a & !b", AB)
+        assert len(parsing._memo) == 1 and parsing._memo_nodes == 4
+
+    def test_node_bound(self):
+        # distinct texts of the same 4-node tree, 4000 nodes in all
+        _clear_memo()
+        texts = ["a &" + " " * k + "!b" for k in range(1000)]
+        first = [parse_formula(text, AB) for text in texts]
+        assert _memo_consistent()
+        held = MEMO_NODES // 4
+        assert list(parsing._memo) == [(text, AB.atoms) for text in texts[-held:]]
+        again = parse_formula(texts[0], AB)  # evicted; re-parsed, it evicts the oldest
+        assert again is not first[0] and again == first[0]
+        assert parse_formula(texts[0], AB) is again
+        assert (texts[-held], AB.atoms) not in parsing._memo
+        assert _memo_consistent() and len(parsing._memo) == held
+
+    def test_formula_larger_than_the_bound_is_not_stored(self):
+        text = "a" + " <-> a" * 9  # 8 * 2**9 - 7 = 4089 nodes
+        f = parse_formula(text, AB)
+        assert _nodes(f) > MEMO_NODES
+        assert (text, AB.atoms) not in parsing._memo
+        assert parse_formula(text, AB) == f
+        assert _memo_consistent()
 
 
 class TestSharedAtomLeaves:
