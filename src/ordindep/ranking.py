@@ -139,9 +139,9 @@ class StratifiedRanking(Record):
 def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
     """Stratify the base and build its maximally compact distribution.
 
-    Every world sits at the top level unless it violates a rule, in which
-    case it sits one step below the level band of its highest violated
-    stratum.  The result is checked to actually accept every rule; a
+    With m strata, every world sits at the top level m unless it violates
+    a rule, in which case it sits at level m - 1 - s, where s is the
+    highest stratum (counted from 0) holding a rule it violates.  The result is checked to actually accept every rule; a
     failure there means the construction itself is broken.
     """
     base = kb.deduped()

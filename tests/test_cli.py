@@ -127,6 +127,27 @@ class TestIndep:
         assert "zadeh unrelated: no" in out
         assert "strong independence: no" in out
 
+    def test_16_atom_total_order(self, tmp_path, capsys):
+        # every world at its own level, as bitstring keys (x0 last)
+        n = 16
+        levels = [w * 48271 % (1 << n) + 1 for w in range(1 << n)]
+        lines = ["atoms: " + " ".join(f"x{i}" for i in range(n)), f"top: {1 << n}"]
+        lines += [f"{w:0{n}b}: {lv}" for w, lv in enumerate(levels)]
+        path = tmp_path / "total.dist"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["indep", str(path), "-a", "x0", "-c", "x15"]) == 0
+        cells = capsys.readouterr().out.splitlines()[:4]
+
+        def oracle(a: int, c: int) -> int:
+            return max(lv for w, lv in enumerate(levels) if (w & 1) == a and (w >> 15) == c)
+
+        assert cells == [
+            f"poss(x0 & x15) = {oracle(1, 1)}",
+            f"poss(x0 & !(x15)) = {oracle(1, 0)}",
+            f"poss(!(x0) & x15) = {oracle(0, 1)}",
+            f"poss(!(x0) & !(x15)) = {oracle(0, 0)}",
+        ]
+
 
 class TestCheck:
     def test_tiny_grid(self, capsys, tmp_path):

@@ -347,9 +347,12 @@ class TestRecordDetails:
         )
 
     def test_derived_attributes_are_not_fields(self):
-        assert DIST._bands == ((3, 0b1000), (2, 0b0100), (1, 0b0011))
+        # levels 1, 1, 2, 3 rank as codes 1, 1, 2, 3 among 0..3: worlds 2
+        # and 3 have bit 1 set, worlds 0, 1 and 3 bit 0
+        assert DIST._ranked == (0, 1, 2, 3)
+        assert DIST._planes == ((2, 0b1100), (1, 0b1011))
         assert AC._index == {"a": 0, "c": 1}
-        for rec, name in ((DIST, "_bands"), (AC, "_index")):
+        for rec, name in ((DIST, "_ranked"), (DIST, "_planes"), (AC, "_index")):
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
             with pytest.raises(AttributeError):

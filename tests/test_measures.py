@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import random
 import sys
@@ -66,14 +67,40 @@ class TestDistValidation:
         four = Dist(AC, 3, (0, 1, 2, 3))
         assert four.is_total_order()
 
+    def test_non_integer_levels_and_tops(self):
+        with pytest.raises(ValueError, match=r"^level 1\.5 at world 0 is not an integer$"):
+            Dist(AC, 3, (1.5, 1, 2, 3))
+        with pytest.raises(ValueError, match=r"^level 'x' at world 2 is not an integer$"):
+            Dist(AC, 3, (0, 1, "x", 3))
+        with pytest.raises(ValueError, match=r"^level \[1\] at world 1 is not an integer$"):
+            Dist(AC, 3, (0, [1], 2, 3))
+        with pytest.raises(ValueError, match=r"^level 3\.0 at world 3 is not an integer$"):
+            Dist(AC, 3, (0, 1, 2, 3.0))
+        with pytest.raises(ValueError, match=r"^top level must be an integer, got 2\.5$"):
+            Dist(AC, 2.5, (0, 1, 2, 2.5))
+        with pytest.raises(ValueError, match=r"^top level must be an integer, got '3'$"):
+            Dist(AC, "3", (0, 1, 2, 3))
+        # the first bad world is named, whether its level is no integer or out of range
+        with pytest.raises(ValueError, match=r"^level 7 at world 0 outside 0\.\.3$"):
+            Dist(AC, 3, (7, "x", 2, 3))
+        with pytest.raises(ValueError, match=r"^level 'x' at world 1 is not an integer$"):
+            Dist(AC, 3, (0, "x", 700, 3))
+        # length before range before normalization
+        with pytest.raises(ValueError, match="need 4 levels"):
+            Dist(AC, 3, (0.5, 1))
+        with pytest.raises(ValueError, match="outside"):
+            Dist(AC, 300, (0, 1, 2, 301))
+
     def test_all_distinct_levels_build_one_row_at_a_time(self):
-        # 2**13 levels, each its own band: one 8 KB row of binary digits
-        # per level, all held at once, would peak near 70 MB
-        count = 1 << 13
+        # 2**16 levels and 0 rank into 65,537 codes, 17 bit-planes of 8 KB
+        # each, built from one 64 KB digit row at a time; a mask per level
+        # would hold about 256 MB
+        n = 16
+        count = 1 << n
         levels = list(range(1, count + 1))
-        random.Random(13).shuffle(levels)
+        random.Random(n).shuffle(levels)
         levels = tuple(levels)
-        vocab = Vocabulary(tuple(f"x{i}" for i in range(13)))
+        vocab = Vocabulary(tuple(f"x{i}" for i in range(n)))
         tracemalloc.start()
         try:
             d = Dist(vocab, count, levels)
@@ -81,11 +108,15 @@ class TestDistValidation:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
-        want: dict[int, int] = {}
-        for w, lv in enumerate(levels):
-            want[lv] = want.get(lv, 0) | 1 << w
-        assert d._bands == tuple(sorted(want.items(), reverse=True))
+        assert d._ranked == tuple(range(count + 1))
+        want = {1 << j: int("".join("1" if lv >> j & 1 else "0" for lv in reversed(levels)), 2) for j in range(17)}
+        assert [bit for bit, _ in d._planes] == sorted(want, reverse=True)
+        assert [bit for bit, plane in d._planes if plane != want[bit]] == []
         assert d.is_total_order()
+        rng = random.Random(16)
+        for k in range(50):
+            worlds = rng.sample(range(count), int(2 ** rng.uniform(0, 12)))
+            assert d.poss_mask(sum(1 << w for w in worlds)) == _oracle_poss(levels, worlds), k
 
 
 def _oracle_poss(levels, worlds) -> int:
@@ -102,7 +133,7 @@ def _chain_base(n: int) -> str:
 
 
 class TestPossibilityOracle:
-    """poss_mask reads the level bands; the oracle reads the levels."""
+    """poss_mask reads the bit-planes; the oracle reads the levels."""
 
     @given(vocabs(max_atoms=3).flatmap(lambda v: dists(v, max_top=4)))
     def test_every_mask(self, d):
@@ -122,13 +153,98 @@ class TestPossibilityOracle:
             mask = sum(1 << w for w in worlds)
             assert d.poss_mask(mask) == _oracle_poss(d.levels, worlds), k
 
-    def test_equality_and_hash_ignore_bands(self):
+    def test_equality_and_hash_ignore_planes(self):
         twin = Dist(AC, 3, (1, 1, 2, 3))
-        object.__setattr__(twin, "_bands", ())
+        object.__setattr__(twin, "_ranked", ())
+        object.__setattr__(twin, "_planes", ())
         assert twin == WORKED
         assert hash(twin) == hash(WORKED)
-        assert "_bands" not in repr(WORKED)
+        assert "_ranked" not in repr(WORKED) and "_planes" not in repr(WORKED)
         assert Dist(AC, 3, (1, 2, 1, 3)) != WORKED
+
+
+def _levels_using(values, n: int, rng: random.Random) -> tuple:
+    """One level per world over n atoms, each of values used at least once."""
+    values = list(values)
+    levels = values + [rng.choice(values) for _ in range((1 << n) - len(values))]
+    rng.shuffle(levels)
+    return tuple(levels)
+
+
+@functools.cache
+def _query_pool(n: int) -> tuple:
+    """Seeded evidence and conclusion formulas over n atoms, each with its
+    truth value at every world, by logic.evaluate."""
+    rng = random.Random(n)
+
+    def literals(k):
+        return [Atom(i) if rng.random() < 0.5 else Not(Atom(i)) for i in rng.sample(range(n), k)]
+
+    evidence = [reduce(And, literals(rng.randint(1, n))) for _ in range(16)]
+    conclusions = [reduce(Or, literals(rng.randint(1, 3))) for _ in range(3)] + [Atom(0)]
+    table = {f: [evaluate(w, f) for w in range(1 << n)] for f in evidence + conclusions}
+    return evidence, conclusions, table
+
+
+def _oracle_verdict(levels, e_truth, c_truth) -> TriState:
+    keep = _oracle_poss(levels, [w for w, (e, c) in enumerate(zip(e_truth, c_truth)) if e and c])
+    drop = _oracle_poss(levels, [w for w, (e, c) in enumerate(zip(e_truth, c_truth)) if e and not c])
+    if keep == drop:
+        return TriState.IGNORED
+    return TriState.ACCEPTED if keep > drop else TriState.REJECTED
+
+
+class TestPlanesDifferential:
+    """poss_mask and entails against the levels, where a level code crosses
+    a byte: 1, 2, 255, 256 and 257 distinct levels in use over 9 atoms,
+    dense from 0 or 1 or spread below tops of 250, 300, 70,000 and 2**70."""
+
+    N = 9
+
+    @pytest.mark.parametrize(
+        "distinct, zero, top",
+        [
+            (d, z, top)
+            for top in (None, 250, 300, 70_000, 2**70)
+            for d in (1, 2, 255, 256, 257)
+            for z in (False, True)
+            if (d > 1 or not z) and (top is None or d <= top + z)
+        ],
+    )
+    def test_against_levels(self, distinct, zero, top):
+        n = self.N
+        count = 1 << n
+        rng = random.Random(f"{distinct} {zero} {top}")
+        if top is None:
+            top = distinct - zero
+            values = set(range(top + 1 - distinct, top + 1))
+        else:
+            values = {top, *([0] if zero else [])}
+            while len(values) < distinct:
+                values.add(rng.randrange(1, top))
+        levels = _levels_using(sorted(values), n, rng)
+        d = Dist(Vocabulary(tuple(f"x{i}" for i in range(n))), top, levels)
+        assert len(d._planes) == (len(values | {0}) - 1).bit_length()
+
+        assert d.poss_mask(0) == 0
+        assert d.poss_mask(full_mask(n)) == top
+        for w in range(count):
+            assert d.poss_mask(1 << w) == levels[w], w
+        for k in range(100):
+            worlds = rng.sample(range(count), int(2 ** rng.uniform(0, n)))
+            assert d.poss_mask(sum(1 << w for w in worlds)) == _oracle_poss(levels, worlds), k
+
+        evidence, conclusions, table = _query_pool(n)
+        for e in evidence:
+            for c in conclusions:
+                assert entails(d, e, c) is _oracle_verdict(levels, table[e], table[c]), (e, c)
+        zeros = [w for w in range(count) if levels[w] == 0]
+        assert bool(zeros) == zero
+        if zeros:
+            # evidence whose worlds all sit at level 0: both cells at 0
+            e = _event_formula(sum(1 << w for w in zeros[:3]), n)
+            for c in (Atom(0), Not(Atom(0)), TRUE):
+                assert entails(d, e, c) is TriState.IGNORED
 
 
 class TestMeasureOracle:
@@ -285,7 +401,8 @@ def _bench_gen():
 
 
 class TestEntailmentDifferential:
-    """entails, which reads one band scan, against the two-cell definition."""
+    """entails, which reads one descent of the bit-planes, against the
+    two-cell definition."""
 
     def test_every_dist_and_event_pair_at_2_3(self):
         events = [_event_formula(mask, 2) for mask in range(16)]
@@ -306,7 +423,7 @@ class TestEntailmentDifferential:
             d = compute_pi_star(doc.injected_base()).pi_star
             vocab = doc.vocab
             # one world at level 0 and one at the top, as full conjunctions
-            # of literals: evidence that meets no band, and the top band only
+            # of literals: evidence at level 0 only, and at the top only
             minterms = [
                 " & ".join(name if (w >> i) & 1 else "!" + name for i, name in enumerate(vocab.atoms))
                 for w in (d.levels.index(0), d.levels.index(d.top))
