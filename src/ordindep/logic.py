@@ -156,7 +156,9 @@ class Formula:
     ``_masks`` memo. Immutability, structural equality (same class, equal
     parts), hashing and ``repr`` (the constructor call, so ``repr(TRUE)``
     is ``TrueFormula()``) follow from those slots; formulas can key memo
-    tables.
+    tables. Pickling and copying rebuild a node through its constructor
+    from its parts, with a fresh ``_masks`` memo; an ``Atom`` comes back
+    as the shared ``ATOMS`` leaf and ``TRUE``/``FALSE`` as themselves.
 
     Formulas are not ``Record``s: the parser builds nodes for every query
     and the mask memo hashes them, so a node keeps its parts in slots and
@@ -179,6 +181,10 @@ class Formula:
 
     def __setattr__(self, name, value):
         raise AttributeError("formulas are immutable")
+
+    def __reduce__(self):
+        # the default restore would write the slots through __setattr__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if self is other:
@@ -207,6 +213,9 @@ class TrueFormula(Formula):
         object.__setattr__(self, "_hash", hash(("true",)))
         object.__setattr__(self, "_masks", {})
 
+    def __reduce__(self):
+        return "TRUE"
+
     def _compute_mask(self, n: int) -> int:
         return full_mask(n)
 
@@ -217,6 +226,9 @@ class FalseFormula(Formula):
     def __init__(self):
         object.__setattr__(self, "_hash", hash(("false",)))
         object.__setattr__(self, "_masks", {})
+
+    def __reduce__(self):
+        return "FALSE"
 
     def _compute_mask(self, n: int) -> int:
         return 0
@@ -250,6 +262,9 @@ class Atom(Formula):
         object.__setattr__(self, "_hash", hash(("atom", index)))
         object.__setattr__(self, "_masks", {})
 
+    def __reduce__(self):
+        return _shared_atom, (self.index,)
+
     def _compute_mask(self, n: int) -> int:
         if self.index >= n:
             raise ValueError(f"atom index {self.index} out of range for {n} atoms")
@@ -257,6 +272,11 @@ class Atom(Formula):
 
 
 ATOMS = tuple(Atom(i) for i in range(MAX_ATOMS))
+
+
+def _shared_atom(index: int) -> Atom:
+    """The shared leaf an unpickled or copied ``Atom`` becomes."""
+    return ATOMS[index]
 
 
 class Not(Formula):

@@ -13,11 +13,22 @@ The induced distribution puts every world as high as the strata allow:
 top for worlds violating nothing, and one step below the top stratum it
 violates otherwise.  Each rule then holds with necessity equal to its
 stratum index plus one, which is reported as the rule's priority.
+
+A ranking is asked many queries of its one distribution, and answers a
+repeated pair from its own memo: a dict keyed by the (evidence,
+conclusion) formulas, whose hashes are cached on the nodes and whose
+identical objects compare by identity.  It holds at most ``_ANSWERS``
+(256) verdicts and drops the oldest first, so besides the verdicts it
+pins at most 256 pairs of the caller's formulas with the masks memoized
+on their nodes.  A failed query is never stored.  The memo is derived,
+so it takes no part in equality, hashing or repr, and it lives exactly
+as long as the ranking whose distribution its answers come from.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 
 from .logic import And, Formula, Not, Or, Record, Vocabulary, full_mask, mask_worlds, model_mask
 from .measures import Dist, TriState, entails, nec
@@ -119,6 +130,10 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
     return tuple(strata)
 
 
+# The most verdicts a ranking's memo holds (see the module docstring).
+_ANSWERS = 256
+
+
 class StratifiedRanking(Record):
     """Stratification result plus the induced distribution.
 
@@ -132,8 +147,25 @@ class StratifiedRanking(Record):
     pi_star: Dist
     priorities: tuple[int, ...]
 
+    def __post_init__(self):
+        # (evidence, conclusion) -> verdict, oldest first
+        object.__setattr__(self, "_answers", OrderedDict())
+
     def query(self, evidence: Formula, conclusion: Formula) -> TriState:
-        return entails(self.pi_star, evidence, conclusion)
+        """Whether the evidence makes the conclusion accepted under pi*.
+
+        A pair asked before is answered from the ranking's memo of its
+        last ``_ANSWERS`` verdicts; an error is raised afresh every time.
+        """
+        answers = self._answers
+        key = (evidence, conclusion)
+        verdict = answers.get(key)
+        if verdict is None:
+            verdict = entails(self.pi_star, evidence, conclusion)
+            answers[key] = verdict
+            if len(answers) > _ANSWERS:
+                answers.popitem(last=False)  # one atomic step, so threads may share a ranking
+        return verdict
 
 
 def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
@@ -141,8 +173,9 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
 
     With m strata, every world sits at the top level m unless it violates
     a rule, in which case it sits at level m - 1 - s, where s is the
-    highest stratum (counted from 0) holding a rule it violates.  The result is checked to actually accept every rule; a
-    failure there means the construction itself is broken.
+    highest stratum (counted from 0) holding a rule it violates.  The
+    result is checked to actually accept every rule; a failure there
+    means the construction itself is broken.
     """
     base = kb.deduped()
     strata = stratify(base)

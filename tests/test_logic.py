@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from ordindep import (
     RuleBase,
     RuleOrigin,
     StratifiedRanking,
+    TriState,
     logic,
 )
 from ordindep.lawlab import Counterexample, Law, LawReport, ProbeReport
@@ -203,6 +207,20 @@ class TestFormulaStructure:
         table = {And(A, B): 1, Or(A, B): 2}
         assert table[And(A, B)] == 1
 
+    @pytest.mark.parametrize("copier", [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_rebuild_through_the_constructor(self, copier):
+        for f in (Atom(1), Not(A), And(A, Not(B)), Or(TRUE, B), TRUE, FALSE):
+            model_mask(f, 2)
+            rebuilt = copier(f)
+            assert type(rebuilt) is type(f)
+            assert rebuilt == f and hash(rebuilt) == hash(f) and repr(rebuilt) == repr(f)
+            assert model_mask(rebuilt, 2) == model_mask(f, 2)
+        assert copier(Atom(1)) is logic.ATOMS[1]
+        assert copier(TRUE) is TRUE and copier(FALSE) is FALSE
+        # a shallow copy keeps the children; the others rebuild them too
+        assert copier(Not(A)).child is (A if copier is copy.copy else logic.ATOMS[0])
+
 
 class TestFormatting:
     def test_precedence_flat(self):
@@ -322,6 +340,12 @@ class TestRecord:
         with pytest.raises(TypeError, match="multiple values"):
             cls(*values, **{next(iter(fields)): values[0]})
 
+    def test_pickle_and_copies_are_equal(self, cls):
+        fields, _ = RECORDS[cls]
+        rec = cls(**fields)
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert type(twin) is cls and twin == rec and hash(twin) == hash(rec)
+
     def test_repr_names_every_field(self, cls):
         fields, _ = RECORDS[cls]
         shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
@@ -352,7 +376,12 @@ class TestRecordDetails:
         assert DIST._ranked == (0, 1, 2, 3)
         assert DIST._planes == ((2, 0b1100), (1, 0b1011))
         assert AC._index == {"a": 0, "c": 1}
-        for rec, name in ((DIST, "_ranked"), (DIST, "_planes"), (AC, "_index")):
+        fields, _ = RECORDS[StratifiedRanking]
+        ranking = StratifiedRanking(**fields)
+        assert ranking.query(A, B) is TriState.ACCEPTED
+        assert ranking._answers == {(A, B): TriState.ACCEPTED}
+        assert ranking == StratifiedRanking(**fields) and hash(ranking) == hash(StratifiedRanking(**fields))
+        for rec, name in ((DIST, "_ranked"), (DIST, "_planes"), (AC, "_index"), (ranking, "_answers")):
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
             with pytest.raises(AttributeError):

@@ -1,7 +1,10 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, example, given, target
+from hypothesis import strategies as st
 
 from ordindep import (
     TRUE,
@@ -14,6 +17,8 @@ from ordindep import (
     Vocabulary,
     compute_pi_star,
     cond_weak_indep,
+    entails,
+    logic,
     models,
     parse_formula,
     parse_kb,
@@ -26,7 +31,7 @@ from ordindep.ranking import Rule, RuleBase, RuleOrigin, inject_independence, to
 
 import stratify_oracle
 from checks import constraints_satisfied, raisable_worlds
-from strategies import consistent_rule_bases, dist_with_formulas, rule_bases
+from strategies import consistent_rule_bases, dist_with_formulas, formulas, rule_bases
 
 
 def load(data_dir, name, injected=False):
@@ -298,6 +303,82 @@ class TestQueries:
         p = parse_formula("p", doc.vocab)
         b = parse_formula("b", doc.vocab)
         assert query(base, p, b) is TriState.ACCEPTED
+
+    def test_pickle_and_copies_answer_the_same(self, data_dir):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        pairs = [(parse_formula(e, doc.vocab), parse_formula(c, doc.vocab))
+                 for e, c in itertools.product(("p", "b", "p & !f", "true"), ("b", "f", "l", "!f | l"))]
+        verdicts = [ranking.query(e, c) for e, c in pairs]
+        for twin in (pickle.loads(pickle.dumps(ranking)), copy.copy(ranking), copy.deepcopy(ranking)):
+            assert twin == ranking and hash(twin) == hash(ranking)
+            assert [twin.query(e, c) for e, c in pairs] == verdicts
+            assert [twin.query(*pickle.loads(pickle.dumps(pair))) for pair in pairs] == verdicts
+        fresh = pickle.loads(pickle.dumps(compute_pi_star(base)))
+        assert [fresh.query(e, c) for e, c in pairs] == verdicts
+
+
+class TestQueryMemo:
+    """A ranking answers a repeated (evidence, conclusion) from its memo."""
+
+    @given(st.data())
+    def test_matches_entails_when_asked_twice(self, data):
+        ranking = compute_pi_star(data.draw(consistent_rule_bases()))
+        for _ in range(data.draw(st.integers(1, 6))):
+            e = data.draw(formulas(ranking.vocab, max_depth=3))
+            c = data.draw(formulas(ranking.vocab, max_depth=3))
+            want = entails(ranking.pi_star, e, c)
+            # a structurally equal pair of distinct nodes, then the same one
+            twin = (eval(repr(e), vars(logic)), eval(repr(c), vars(logic)))
+            for pair in ((e, c), twin, (e, c)):
+                assert ranking.query(*pair) is want
+            assert ranking._answers[e, c] is want
+
+    def test_a_repeat_does_not_call_entails(self, data_dir, monkeypatch):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return entails(*args)
+
+        monkeypatch.setattr(ranking_module, "entails", counted)
+        p, f = parse_formula("p", doc.vocab), parse_formula("f", doc.vocab)
+        for _ in range(3):
+            assert ranking.query(p, f) is TriState.REJECTED
+        assert ranking.query(Atom(0), Atom(2)) is TriState.REJECTED  # equal, not identical
+        assert len(calls) == 1
+        assert ranking.query(f, p) is TriState.REJECTED  # flyers are normally no penguins
+        assert len(calls) == 2
+        # another ranking keeps a memo of its own
+        assert compute_pi_star(base).query(p, f) is TriState.REJECTED
+        assert len(calls) == 3
+
+    def test_holds_the_latest_256_answers(self, data_dir):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        lits = [parse_formula(t, doc.vocab) for t in ("p", "!p", "b", "!b", "f", "!f", "l", "!l")]
+        evidence = [And(x, y) for x, y in itertools.product(lits, lits)]  # 64 distinct conjunctions
+        pairs = [(e, c) for c in lits[:5] for e in evidence][:300]
+        assert len(set(pairs)) == 300
+        for e, c in pairs:
+            assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
+        assert len(ranking._answers) == ranking_module._ANSWERS == 256
+        assert list(ranking._answers) == pairs[44:]
+        for e, c in pairs:
+            assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
+        assert len(ranking._answers) == 256
+
+    def test_an_error_is_never_stored(self, data_dir):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        p = parse_formula("p", doc.vocab)
+        ranking.query(p, p)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                ranking.query(Atom(9), p)
+        assert list(ranking._answers) == [(p, p)]
 
 
 class TestPriorities:
