@@ -1,7 +1,9 @@
 """Command line frontend.
 
 Subcommands: rank, query, dist, indep, check, table.  Exit status is 0 on
-success, 1 when a rule base is inconsistent, 2 on parse or scale errors.
+success, 1 when a rule base is inconsistent, and 2 on any other error: a
+parse or usage error, an unreadable file, a lab grid out of scope or a
+sweep over its budget.
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -25,7 +27,7 @@ from .ranking import ConsistencyError, RuleOrigin, StratifiedRanking, compute_pi
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
         return fh.read()
 
 

@@ -9,10 +9,24 @@ through the plain scalar implementations before it is returned.
 
 Each law is written once, as a statement (``Law.note``) in a small
 grammar over the ScalarOps methods and ``top``, and compiled at import into
-the predicate that is checked, in ``CATALOG``; the criteria table's cells
-are generated statements, compiled at import into ``CELLS`` and swept on
-the same path, and the dependence axioms are catalog laws.  A law
-is swept in one predicate call per value of its first argument, on
+the predicate that is checked, in ``CATALOG``; the dependence axioms are
+catalog laws.  The criteria table's cells are compiled into ``CELLS`` and
+swept on the same path.  Each of its 8 criteria is one statement over a
+relation's dependence test ``dep`` and independence test ``ind``, and a
+cell is its criterion with one relation's two tests filled in: Zadeh's
+are ``related_z`` and ``not related_z``, Strong's ``not strong_indep``
+and ``strong_indep``, Weak's ``not weak_indep`` and ``weak_indep``.
+
+    CCD    implies(dep(a, c) and dep(b, c), dep(a & b, c))
+    CCI    implies(ind(a, c) and ind(b, c), ind(a & b, c))
+    CCD-r  implies(dep(a, b) and dep(a, c), dep(a, b & c))
+    CCI-r  implies(ind(a, b) and ind(a, c), ind(a, b & c))
+    DCI    implies(ind(a, c) and ind(b, c), ind(a | b, c))
+    DCI-r  implies(ind(a, b) and ind(a, c), ind(a, b | c))
+    DCD    implies(dep(a, c) and dep(b, c), dep(a | b, c))
+    DCD-r  implies(dep(a, b) and dep(a, c), dep(a, b | c))
+
+A law is swept in one predicate call per value of its first argument, on
 leaves that stand for arrays of event ids: ScalarOps adapts the library
 calls in ``measures`` and ``independence``, which read a distribution
 only through ``vocab``, ``top`` and ``poss_mask``, and a DistEnsemble's
@@ -313,38 +327,31 @@ def _law(law_id: str, statement: str) -> Law:
 
 # -- composition criteria ----------------------------------------------
 
-# criterion -> (states dependence?, connective, joins the second argument?):
-# "CCD" reads dep(a, c) and dep(b, c) imply dep(a&b, c); "CCD-r" reads
-# dep(a, b) and dep(a, c) imply dep(a, b&c).
-CRITERIA: dict[str, tuple[bool, type, bool]] = {
-    "CCD": (True, And, False),
-    "CCI": (False, And, False),
-    "CCD-r": (True, And, True),
-    "CCI-r": (False, And, True),
-    "DCI": (False, Or, False),
-    "DCI-r": (False, Or, True),
-    "DCD": (True, Or, False),
-    "DCD-r": (True, Or, True),
+# Each criterion's statement, over a relation's dependence test {dep} and
+# independence test {ind}: a premise pair about the parts of a conjunction
+# or disjunction, a conclusion about the compound.
+CRITERIA: dict[str, str] = {
+    "CCD": "implies({dep}(a, c) and {dep}(b, c), {dep}(a & b, c))",
+    "CCI": "implies({ind}(a, c) and {ind}(b, c), {ind}(a & b, c))",
+    "CCD-r": "implies({dep}(a, b) and {dep}(a, c), {dep}(a, b & c))",
+    "CCI-r": "implies({ind}(a, b) and {ind}(a, c), {ind}(a, b & c))",
+    "DCI": "implies({ind}(a, c) and {ind}(b, c), {ind}(a | b, c))",
+    "DCI-r": "implies({ind}(a, b) and {ind}(a, c), {ind}(a, b | c))",
+    "DCD": "implies({dep}(a, c) and {dep}(b, c), {dep}(a | b, c))",
+    "DCD-r": "implies({dep}(a, b) and {dep}(a, c), {dep}(a, b | c))",
 }
 
-# Each relation's independence test; dependence is its negation.
-RELATIONS: dict[str, str] = {
-    "Zadeh": "not related_z({}, {})",
-    "Strong": "strong_indep({}, {})",
-    "Weak": "weak_indep({}, {})",
+# Each relation's two tests, as the callee a criterion applies to a pair.
+RELATIONS: dict[str, dict[str, str]] = {
+    "Zadeh": {"dep": "related_z", "ind": "not related_z"},
+    "Strong": {"dep": "not strong_indep", "ind": "strong_indep"},
+    "Weak": {"dep": "not weak_indep", "ind": "weak_indep"},
 }
 
 
 def _cell(relation: str, criterion: str) -> str:
     """The statement of one relation x criterion cell."""
-    test = RELATIONS[relation]
-    dependence, join, second = CRITERIA[criterion]
-    if dependence:  # a double negation cancels
-        test = test[4:] if test.startswith("not ") else "not " + test
-    op = " & " if join is And else " | "
-    pairs = (("a", "b"), ("a", "c"), ("a", f"b{op}c")) if second else (("a", "c"), ("b", "c"), (f"a{op}b", "c"))
-    first, other, conclusion = (test.format(*pair) for pair in pairs)
-    return f"implies({first} and {other}, {conclusion})"
+    return CRITERIA[criterion].format(**RELATIONS[relation])
 
 
 # Every relation x criterion cell's law, relations outermost, compiled at
@@ -618,7 +625,10 @@ class ProbeReport(Record):
     unrealized: tuple[int, ...]
 
 
-# a sampled mutation flips between one and PROBE_FLIPS pair bits
+# the sampled probe draws PROBE_SAMPLES mutations from a generator seeded
+# with PROBE_SEED, each flipping between one and PROBE_FLIPS pair bits
+PROBE_SAMPLES = 500
+PROBE_SEED = 0
 PROBE_FLIPS = 3
 
 
@@ -646,16 +656,16 @@ def completeness_probe_exact(mode: str = "printed") -> ProbeReport:
     return _score(n, range(1 << pairs), _realized_relations(n), mode)
 
 
-def completeness_probe_sampled(samples: int = 500, seed: int = 0, mode: str = "printed") -> ProbeReport:
+def completeness_probe_sampled(mode: str = "printed") -> ProbeReport:
     """Two-atom case: 2**256 candidate relations rule out enumeration, so
     mutate realized relations pairwise and keep the axiom-satisfying ones."""
     n = 2
     pair_count = (1 << (1 << n)) ** 2
     realized = _realized_relations(n)
-    rng = random.Random(seed)
+    rng = random.Random(PROBE_SEED)
     pool = sorted(realized)
     draws = []
-    for _ in range(samples):
+    for _ in range(PROBE_SAMPLES):
         bits = rng.choice(pool)
         for _ in range(rng.randint(1, PROBE_FLIPS)):
             bits ^= 1 << rng.randrange(pair_count)

@@ -104,6 +104,7 @@ class Vocabulary(Record):
     atoms: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(self.atoms))  # a caller's list stays theirs
         if not (1 <= len(self.atoms) <= MAX_ATOMS):
             raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(self.atoms)}")
         seen = {}
@@ -370,14 +371,12 @@ _PREC_AND = 2
 _PREC_UNARY = 3
 
 
-def _fmt(formula: Formula, vocab: Vocabulary | None, prec: int) -> str:
+def _fmt(formula: Formula, vocab: Vocabulary, prec: int) -> str:
     if isinstance(formula, TrueFormula):
         return "true"
     if isinstance(formula, FalseFormula):
         return "false"
     if isinstance(formula, Atom):
-        if vocab is None:
-            return f"x{formula.index}"
         return vocab.atoms[formula.index]
     if isinstance(formula, Not):
         return "!" + _fmt(formula.child, vocab, _PREC_UNARY)
@@ -391,6 +390,6 @@ def _fmt(formula: Formula, vocab: Vocabulary | None, prec: int) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def format_formula(formula: Formula, vocab: Vocabulary | None = None) -> str:
+def format_formula(formula: Formula, vocab: Vocabulary) -> str:
     """Concrete syntax; reparsing yields a structurally equal formula."""
     return _fmt(formula, vocab, 0)

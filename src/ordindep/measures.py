@@ -63,7 +63,8 @@ class Dist(Record):
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        top, levels = self.top, self.levels
+        top, levels = self.top, tuple(self.levels)
+        object.__setattr__(self, "levels", levels)  # a caller's list stays theirs
         try:
             operator.index(top)
         except TypeError:

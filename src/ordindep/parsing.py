@@ -26,10 +26,9 @@ nodes.  The memo holds at most ``MEMO_NODES`` (2,048) formula nodes,
 counted as the parser counts them, and drops its oldest texts to stay
 within that; a formula larger than the whole bound is not stored.  So
 the masks it can pin come to at most 2,048 * 2**n / 8 bytes for n atoms:
-4 MB at 14 atoms, 16 MB at 16.  A failed parse is never stored, and
-``line`` and ``col_offset`` shape only the error, so every error is
-raised afresh with its own position.  ``parse_kb`` and ``parse_dist``
-neither read nor fill the memo: a document's texts are parsed once.
+4 MB at 14 atoms, 16 MB at 16.  A failed parse is never stored, so every
+error is raised afresh.  ``parse_kb`` and ``parse_dist`` neither read nor
+fill the memo: a document's texts are parsed once.
 """
 
 from __future__ import annotations
@@ -221,9 +220,7 @@ _memo: dict[tuple[str, tuple[str, ...]], tuple[Formula, int]] = {}
 _memo_nodes = 0  # the node counts in _memo, summed
 
 
-def parse_formula(
-    text: str, vocab: Vocabulary, line: int = 0, col_offset: int = 0
-) -> Formula:
+def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     """The formula text denotes over vocab, from the memo when the same
     text was parsed over the same atom names before."""
     global _memo_nodes
@@ -233,7 +230,7 @@ def parse_formula(
     held = _memo.get(key)
     if held is not None:
         return held[0]
-    formula, size = _parse(text, vocab, line, col_offset)
+    formula, size = _parse(text, vocab, 0, 0)
     if size <= MEMO_NODES:
         _memo_nodes += size
         while _memo_nodes > MEMO_NODES:

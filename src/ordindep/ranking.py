@@ -55,6 +55,9 @@ class RuleBase(Record):
     vocab: Vocabulary
     rules: tuple[Rule, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))  # a caller's list stays theirs
+
     def deduped(self) -> "RuleBase":
         """Drop structural repeats of (antecedent, consequent), keeping the first."""
         seen = set()

@@ -5,7 +5,8 @@ each law once, as a statement that compiles to its predicate.  The
 lambdas, their ``_imp``/``_iff`` helpers and the lambda-built composition
 cells are kept here unchanged, so a test can require every compiled
 predicate to give the same row as its lambda on every distribution and
-generator tuple.
+generator tuple.  The cells are built from this module's own encoding of
+the criteria, not from the lab's statements they are checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ordindep.lawlab import CRITERIA, Law
+from ordindep.lawlab import Law
 from ordindep.logic import FALSE, TRUE, And, Not, Or
 
 
@@ -25,6 +26,20 @@ def _imp(p, q):
 def _iff(p, q):
     return np.logical_not(np.logical_xor(np.asarray(p, dtype=bool), np.asarray(q, dtype=bool)))
 
+
+# criterion -> (states dependence?, connective, joins the second argument?):
+# "CCD" reads dep(a, c) and dep(b, c) imply dep(a&b, c); "CCD-r" reads
+# dep(a, b) and dep(a, c) imply dep(a, b&c).
+CRITERIA: dict[str, tuple[bool, type, bool]] = {
+    "CCD": (True, And, False),
+    "CCI": (False, And, False),
+    "CCD-r": (True, And, True),
+    "CCI-r": (False, And, True),
+    "DCI": (False, Or, False),
+    "DCI-r": (False, Or, True),
+    "DCD": (True, Or, False),
+    "DCD-r": (True, Or, True),
+}
 
 # Each relation's independence test; dependence is its negation.
 RELATIONS: dict[str, Callable] = {

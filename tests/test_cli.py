@@ -277,6 +277,21 @@ class TestErrorPaths:
         assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, name, extra",
+    [("rank", "penguin.kb", []), ("rank", "penguin_fixed.kb", []), ("indep", "sample.dist", ["-a", "a", "-c", "c"])],
+    ids=["rank", "rank_fixed", "indep"],
+)
+def test_byte_order_mark_is_not_text(data_dir, tmp_path, capsys, command, name, extra):
+    # an editor may save UTF-8 with a leading BOM; the file reads as without it
+    plain = data_dir / name
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = main([command, str(plain), *extra]), capsys.readouterr()
+    assert want[0] == 0 and want[1].out
+    assert (main([command, str(marked), *extra]), capsys.readouterr()) == want
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter on the sources in this checkout, from its root."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
@@ -381,7 +396,7 @@ def test_axiom_probe_runs():
     # the one-atom counts that tests/test_lawlab.py pins
     assert "printed: 65536 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
     assert "schema: 65536 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout
-    # the two-atom sampled counts at the default 500 samples, seed 0: one
+    # the two-atom sampled counts at its fixed 500 draws, seed 0: one
     # admitted draw per reading is a realized relation
     assert "printed: 500 distinct sampled relations, 109 satisfy the axioms, 1 realized" in proc.stdout
     assert "schema: 500 distinct sampled relations, 50 satisfy the axioms, 1 realized" in proc.stdout

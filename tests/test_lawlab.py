@@ -93,6 +93,36 @@ TABLE_2_3 = {
 }
 
 
+# every cell's statement, written out: the criterion with its relation's
+# dependence and independence tests filled in
+CELL_STATEMENTS = {
+    ("Zadeh", "CCD"): "implies(related_z(a, c) and related_z(b, c), related_z(a & b, c))",
+    ("Zadeh", "CCI"): "implies(not related_z(a, c) and not related_z(b, c), not related_z(a & b, c))",
+    ("Zadeh", "CCD-r"): "implies(related_z(a, b) and related_z(a, c), related_z(a, b & c))",
+    ("Zadeh", "CCI-r"): "implies(not related_z(a, b) and not related_z(a, c), not related_z(a, b & c))",
+    ("Zadeh", "DCI"): "implies(not related_z(a, c) and not related_z(b, c), not related_z(a | b, c))",
+    ("Zadeh", "DCI-r"): "implies(not related_z(a, b) and not related_z(a, c), not related_z(a, b | c))",
+    ("Zadeh", "DCD"): "implies(related_z(a, c) and related_z(b, c), related_z(a | b, c))",
+    ("Zadeh", "DCD-r"): "implies(related_z(a, b) and related_z(a, c), related_z(a, b | c))",
+    ("Strong", "CCD"): "implies(not strong_indep(a, c) and not strong_indep(b, c), not strong_indep(a & b, c))",
+    ("Strong", "CCI"): "implies(strong_indep(a, c) and strong_indep(b, c), strong_indep(a & b, c))",
+    ("Strong", "CCD-r"): "implies(not strong_indep(a, b) and not strong_indep(a, c), not strong_indep(a, b & c))",
+    ("Strong", "CCI-r"): "implies(strong_indep(a, b) and strong_indep(a, c), strong_indep(a, b & c))",
+    ("Strong", "DCI"): "implies(strong_indep(a, c) and strong_indep(b, c), strong_indep(a | b, c))",
+    ("Strong", "DCI-r"): "implies(strong_indep(a, b) and strong_indep(a, c), strong_indep(a, b | c))",
+    ("Strong", "DCD"): "implies(not strong_indep(a, c) and not strong_indep(b, c), not strong_indep(a | b, c))",
+    ("Strong", "DCD-r"): "implies(not strong_indep(a, b) and not strong_indep(a, c), not strong_indep(a, b | c))",
+    ("Weak", "CCD"): "implies(not weak_indep(a, c) and not weak_indep(b, c), not weak_indep(a & b, c))",
+    ("Weak", "CCI"): "implies(weak_indep(a, c) and weak_indep(b, c), weak_indep(a & b, c))",
+    ("Weak", "CCD-r"): "implies(not weak_indep(a, b) and not weak_indep(a, c), not weak_indep(a, b & c))",
+    ("Weak", "CCI-r"): "implies(weak_indep(a, b) and weak_indep(a, c), weak_indep(a, b & c))",
+    ("Weak", "DCI"): "implies(weak_indep(a, c) and weak_indep(b, c), weak_indep(a | b, c))",
+    ("Weak", "DCI-r"): "implies(weak_indep(a, b) and weak_indep(a, c), weak_indep(a, b | c))",
+    ("Weak", "DCD"): "implies(not weak_indep(a, c) and not weak_indep(b, c), not weak_indep(a | b, c))",
+    ("Weak", "DCD-r"): "implies(not weak_indep(a, b) and not weak_indep(a, c), not weak_indep(a, b | c))",
+}
+
+
 def test_package_resolves_lawlab_names_lazily():
     import ordindep
     from ordindep import lawlab
@@ -383,6 +413,11 @@ class TestCatalog:
 
 
 class TestCriteriaTable:
+    def test_cell_statements_pinned(self):
+        assert {cell: law.note for cell, law in CELLS.items()} == CELL_STATEMENTS
+        assert list(CELLS) == list(CELL_STATEMENTS)
+        assert [law.law_id for law in CELLS.values()] == [f"{r.lower()}-{c.lower()}" for r, c in CELL_STATEMENTS]
+
     def test_cells_compile_at_import(self, monkeypatch):
         assert list(CELLS) == [(r, c) for r in RELATIONS for c in CRITERIA]
         for (relation, criterion), law in CELLS.items():
@@ -446,13 +481,12 @@ def _assert_laws_agree(n, top):
 def _assert_cells_agree(n, top):
     # the eight cell laws are covered by the catalog comparison
     ens = DistEnsemble(n, top, budget=10**9)
-    for relation in RELATIONS:
-        for criterion in CRITERIA:
-            if (relation, criterion) in CELL_LAWS.values():
-                continue
-            compiled = CELLS[(relation, criterion)].predicate
-            oracle = law_oracle.composition_predicate(relation, criterion)
-            _assert_grids_agree(ens, compiled, oracle, 3, (relation, criterion))
+    assert list(CELLS) == [(r, c) for r in law_oracle.RELATIONS for c in law_oracle.CRITERIA]
+    for (relation, criterion), law in CELLS.items():
+        if (relation, criterion) in CELL_LAWS.values():
+            continue
+        oracle = law_oracle.composition_predicate(relation, criterion)
+        _assert_grids_agree(ens, law.predicate, oracle, 3, (relation, criterion))
 
 
 class TestStatements:
@@ -571,10 +605,11 @@ class TestRelationProbe:
         assert bits not in _realized_relations(1)
 
     def test_sampled_probe_pinned(self):
-        rep = completeness_probe_sampled(samples=120, seed=0)
-        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 24, 0)
-        rep = completeness_probe_sampled(samples=120, seed=0, mode="schema")
-        assert (rep.candidates, rep.satisfying, rep.realized) == (120, 9, 0)
+        # the README's figures: every one of the 500 draws (seed 0) is distinct
+        rep = completeness_probe_sampled()
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 500, 109, 1)
+        rep = completeness_probe_sampled(mode="schema")
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 500, 50, 1)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown axiom mode"):

@@ -54,6 +54,15 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(())
 
+    def test_atoms_list_is_copied(self):
+        names = ["a", "b"]
+        v = Vocabulary(names)
+        names.append("c")
+        assert v.atoms == ("a", "b") and v.n == 2
+        with pytest.raises(KeyError):
+            v.index("c")
+        assert v == Vocabulary(("a", "b")) and hash(v) == hash(Vocabulary(("a", "b")))
+
     def test_rejects_too_many(self):
         names = tuple(f"x{i}" for i in range(MAX_ATOMS + 1))
         with pytest.raises(ValueError):
@@ -235,8 +244,9 @@ class TestFormatting:
         f = And(A, And(B, B))
         assert format_formula(f, AB) == "a & (b & b)"
 
-    def test_without_vocab(self):
-        assert format_formula(And(A, Not(B))) == "x0 & !x1"
+    def test_vocab_required(self):
+        with pytest.raises(TypeError):
+            format_formula(And(A, Not(B)))
 
     def test_constants(self):
         assert format_formula(Or(TRUE, FALSE), AB) == "true | false"

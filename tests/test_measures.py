@@ -6,6 +6,7 @@ import tracemalloc
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -43,6 +44,18 @@ WORKED = Dist(AC, 3, (1, 1, 2, 3))
 
 
 class TestDistValidation:
+    def test_levels_are_copied_into_a_tuple(self):
+        levels = [3, 1]
+        d = Dist(Vocabulary(("a",)), 3, levels)
+        levels[0] = 0  # no world at the top any more, had the list been kept
+        assert d.levels == (3, 1)
+        assert poss(d, TRUE) == 3 and poss(d, Atom(0)) == 1
+        assert d == Dist(Vocabulary(("a",)), 3, (3, 1))
+        assert hash(d) == hash(Dist(Vocabulary(("a",)), 3, (3, 1)))
+        # an int64 array is read as its values, not as its 8-byte buffer
+        d = Dist(Vocabulary(("a",)), 3, np.array([3, 1]))
+        assert d.levels == (3, 1) and poss(d, Atom(0)) == 1
+
     def test_top_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             Dist(AC, 0, (0, 0, 0, 0))

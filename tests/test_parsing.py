@@ -68,7 +68,7 @@ class TestFormulaGrammar:
 
     def test_unknown_atom_position(self):
         with pytest.raises(ParseError) as ei:
-            parse_formula("a & zz", AB, line=4)
+            _parse("a & zz", AB, 4, 0)
         assert "unknown atom: zz" in str(ei.value)
         assert ei.value.line == 4
         assert ei.value.column == 5
@@ -113,7 +113,7 @@ class TestNestingLimit:
     )
     def test_too_deep_is_a_parse_error(self, text, column):
         with pytest.raises(ParseError, match="nested more than 100 levels deep") as ei:
-            parse_formula(text, AB, line=3, col_offset=5)
+            _parse(text, AB, 3, 5)
         assert ei.value.line == 3
         assert ei.value.column == 5 + column
 
@@ -149,7 +149,7 @@ class TestSizeLimit:
         assert MAX_FORMULA_SIZE == 10_000
         assert _nodes(parse_formula("a" + " <-> a" * 10, AB)) == 8185
         with pytest.raises(ParseError, match="formula expands to more than 10000 nodes") as ei:
-            parse_formula("a" + " <-> a" * 12, AB, line=3, col_offset=5)
+            _parse("a" + " <-> a" * 12, AB, 3, 5)
         # the eleventh operator is the first past the limit
         assert ei.value.line == 3
         assert ei.value.column == 5 + len("a" + " <-> a" * 10) + 2
@@ -362,12 +362,16 @@ def _leaves(f) -> list:
     return [f]
 
 
-def _parsed(parse, text: str, vocab: Vocabulary, line: int, col_offset: int):
+def _parsed(parse, *args):
     """The formula, or the error's message, line and column."""
     try:
-        return parse(text, vocab, line, col_offset)
+        return parse(*args)
     except ParseError as e:
         return (e.message, e.line, e.column)
+
+
+def _formula_at(text: str, vocab: Vocabulary, line: int, col_offset: int):
+    return _parse(text, vocab, line, col_offset)[0]
 
 
 def _chain(k: int) -> str:
@@ -378,7 +382,8 @@ _AT_SIZE_LIMIT = " & ".join([_chain(10), _chain(7), _chain(6), _chain(5), _chain
 
 
 class TestOracleDifferential:
-    """parse_formula against the tokenizer pass and parser object it replaced."""
+    """parse_formula and _parse against the tokenizer pass and parser
+    object they replaced."""
 
     @given(st.sampled_from([V1, V3, V14, V16]).flatmap(_cases), st.integers(0, 5), st.integers(0, 40))
     @example((V3, "(" * 300 + "a" + ")" * 300), 3, 5)
@@ -398,12 +403,15 @@ class TestOracleDifferential:
     @example((V1, "a" + " <-> a" * 12 + " %"), 0, 0)
     @example((V14, "x03 & !x07"), 0, 0)
     def test_same_formula_or_same_error(self, case, line, col_offset):
-        # each text is parsed twice: a miss on the emptied memo, then a hit
+        # _parse at the drawn position; then parse_formula, whose errors
+        # count columns from 1 on line 0, twice: a miss on the emptied memo,
+        # then a hit
         vocab, text = case
-        want = _parsed(parse_oracle.parse_formula, text, vocab, line, col_offset)
+        runs = [(_formula_at, (line, col_offset))] + [(parse_formula, ())] * 2
         _clear_memo()
-        for _ in range(2):
-            got = _parsed(parse_formula, text, vocab, line, col_offset)
+        for parse, position in runs:
+            want = _parsed(parse_oracle.parse_formula, text, vocab, *position)
+            got = _parsed(parse, text, vocab, *position)
             assert got == want, text
             if not isinstance(want, tuple):
                 assert [id(leaf) for leaf in _leaves(got)] == [id(leaf) for leaf in _leaves(want)], text
@@ -429,7 +437,6 @@ class TestFormulaMemo:
         text = "a & !b | a"
         first = parse_formula(text, AB)
         assert parse_formula(text, Vocabulary(("a", "b"))) is first
-        assert parse_formula(text, AB, line=3, col_offset=9) is first
         assert first == _parse(text, AB, 0, 0)[0]
         assert _memo_consistent()
 
@@ -443,10 +450,10 @@ class TestFormulaMemo:
 
     @pytest.mark.parametrize("text", ["a & zz", "a %", "(a", "a b", "!" * 150 + "a", "a" + " <-> a" * 12])
     def test_errors_are_raised_afresh_and_never_stored(self, text):
-        for line, col_offset in ((0, 0), (2, 7), (5, 1)):
-            want = _parsed(parse_oracle.parse_formula, text, AB, line, col_offset)
-            assert isinstance(want, tuple)
-            assert _parsed(parse_formula, text, AB, line, col_offset) == want
+        want = _parsed(parse_oracle.parse_formula, text, AB)
+        assert isinstance(want, tuple)
+        for _ in range(3):
+            assert _parsed(parse_formula, text, AB) == want
             assert (text, AB.atoms) not in parsing._memo
 
     def test_kb_and_dist_parsing_leave_the_memo_alone(self, data_dir):

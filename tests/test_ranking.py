@@ -413,6 +413,16 @@ class TestInjection:
         assert injected.consequent == Atom(2)
         assert injected.origin is RuleOrigin.INDEPENDENCE
 
+    def test_rules_list_is_copied(self):
+        v = Vocabulary(("b", "p", "l"))
+        rules = [Rule(Atom(0), Atom(2))]
+        base = RuleBase(v, rules)
+        rules.append(Rule(Atom(1), Not(Atom(2))))
+        assert base.rules == (Rule(Atom(0), Atom(2)),)
+        out = inject_independence(base, Atom(0), Atom(1), Atom(2))
+        assert out.rules[:1] == base.rules and len(out.rules) == 2
+        assert hash(base) == hash(RuleBase(v, tuple(base.rules)))
+
 
 class TestRationalMonotony:
     # the law lab's compiled statement, on one Dist at a time
