@@ -5,12 +5,16 @@ success, 1 when a rule base is inconsistent, and 2 on any other error: a
 parse or usage error, an unreadable file, a lab grid out of scope or a
 sweep over its budget.
 All output is deterministic for fixed inputs and flags.
+
+A well-formed rank, query, dist or indep command is read without argparse,
+whose import and parser build cost a few milliseconds per command; argparse
+reads every other argv and so writes all usage, help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .independence import classify, cond_weak_indep
 from .logic import format_formula
@@ -100,119 +104,83 @@ def _cmd_indep(args) -> int:
     return 0
 
 
-def _counterexample_record(ce):
-    if ce is None:
-        return None
-    vocab = ce.dist.vocab
-    return {
-        "formulas": [format_formula(f, vocab) for f in ce.formulas],
-        "dist": {"atoms": list(vocab.atoms), "top": ce.dist.top, "levels": list(ce.dist.levels)},
-    }
+# name: (help, positional, required (short, long) options, handler). The
+# argparse parser and the argparse-free reader are both built from this; an
+# option's value goes to its long name without the dashes, as in argparse.
+COMMANDS = {
+    "rank": ("stratify a rule base and print pi*", "kb", (), _cmd_rank),
+    "query": ("query a rule base", "kb", (("-e", "--evidence"), ("-c", "--conclusion")), _cmd_query),
+    "dist": ("dump pi* of a rule base as a distribution file", "kb", (), _cmd_dist),
+    "indep": (
+        "classify a pair of formulas on a distribution",
+        "dist",
+        (("-a", "--antecedent"), ("-c", "--conclusion")),
+        _cmd_indep,
+    ),
+}
 
 
-def _budget(args) -> int:
-    from .lawlab import DEFAULT_BUDGET
+def _cmd_lab(args) -> int:
+    from .lawlab import run_command  # the law lab and numpy load only here
 
-    return DEFAULT_BUDGET if args.budget is None else args.budget
-
-
-# check and table import the law lab (and numpy) only when they run, and
-# check imports json only for --jsonl
-def _cmd_check(args) -> int:
-    from .lawlab import format_counterexample, run_catalog
-
-    reports = run_catalog(args.atoms, args.top, _budget(args))
-    failures = 0
-    for rep in reports:
-        mark = "ok  " if rep.holds else "FAIL"
-        print(f"{mark} {rep.law_id} ({rep.evaluations} evaluations)")
-        if not rep.holds:
-            failures += 1
-            print(format_counterexample(rep.counterexample))
-    print(f"{len(reports) - failures} of {len(reports)} laws hold")
-    if args.jsonl:
-        import json
-
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for rep in reports:
-                record = {
-                    "law": rep.law_id,
-                    "atoms": rep.atoms,
-                    "top": rep.top,
-                    "evaluations": rep.evaluations,
-                    "holds": rep.holds,
-                    "counterexample": _counterexample_record(rep.counterexample),
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return 0
+    return run_command(args)
 
 
-def _cmd_table(args) -> int:
-    from .lawlab import CRITERIA, RELATIONS, criteria_table, format_counterexample
+def _build_parser():
+    import argparse
 
-    reports = criteria_table(args.atoms, args.top, _budget(args))
-    width = max(len("criterion"), max(len(c) for c in CRITERIA))
-    header = "criterion".ljust(width) + "".join(rel.rjust(8) for rel in RELATIONS)
-    print(header)
-    for criterion in CRITERIA:
-        row = criterion.ljust(width)
-        for relation in RELATIONS:
-            row += ("yes" if reports[(relation, criterion)].holds else "no").rjust(8)
-        print(row)
-    for criterion in CRITERIA:
-        for relation in RELATIONS:
-            rep = reports[(relation, criterion)]
-            if not rep.holds:
-                print(f"counterexample for {relation} {criterion}:")
-                print(format_counterexample(rep.counterexample, indent=2))
-    return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordindep",
         description="Ordinal independence relations and default-rule ranking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, positional, options, fn) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument(positional)
+        for short, long in options:
+            p.add_argument(short, long, required=True)
+        p.set_defaults(fn=fn)
 
-    p_rank = sub.add_parser("rank", help="stratify a rule base and print pi*")
-    p_rank.add_argument("kb")
-    p_rank.set_defaults(fn=_cmd_rank)
-
-    p_query = sub.add_parser("query", help="query a rule base")
-    p_query.add_argument("kb")
-    p_query.add_argument("-e", "--evidence", required=True)
-    p_query.add_argument("-c", "--conclusion", required=True)
-    p_query.set_defaults(fn=_cmd_query)
-
-    p_dist = sub.add_parser("dist", help="dump pi* of a rule base as a distribution file")
-    p_dist.add_argument("kb")
-    p_dist.set_defaults(fn=_cmd_dist)
-
-    p_indep = sub.add_parser("indep", help="classify a pair of formulas on a distribution")
-    p_indep.add_argument("dist")
-    p_indep.add_argument("-a", "--antecedent", required=True)
-    p_indep.add_argument("-c", "--conclusion", required=True)
-    p_indep.set_defaults(fn=_cmd_indep)
-
-    p_check = sub.add_parser("check", help="run the law catalog at desk scale")
-    p_check.add_argument("--atoms", type=int, required=True)
-    p_check.add_argument("--top", type=int, required=True)
-    p_check.add_argument("--budget", type=int)
-    p_check.add_argument("--jsonl", help="also write line-delimited records here")
-    p_check.set_defaults(fn=_cmd_check)
-
-    p_table = sub.add_parser("table", help="print the composition criteria table")
-    p_table.add_argument("--atoms", type=int, required=True)
-    p_table.add_argument("--top", type=int, required=True)
-    p_table.add_argument("--budget", type=int)
-    p_table.set_defaults(fn=_cmd_table)
-
+    lab = {"check": "run the law catalog at desk scale", "table": "print the composition criteria table"}
+    for name, text in lab.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--atoms", type=int, required=True)
+        p.add_argument("--top", type=int, required=True)
+        p.add_argument("--budget", type=int)
+        if name == "check":
+            p.add_argument("--jsonl", help="also write line-delimited records here")
+        p.set_defaults(fn=_cmd_lab)
     return parser
 
 
+def _read_args(argv: list[str]):
+    """The parsed arguments of ``COMMAND POSITIONAL`` plus each of the
+    command's options once, as ``-x VALUE`` or ``--long VALUE``, where no
+    other token starts with ``-``; ``None`` for any other argv, which
+    argparse reads instead (and so alone writes usage, help and errors)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positional, options, fn = COMMANDS[argv[0]]
+    dests = {flag: long[2:] for short, long in options for flag in (short, long)}
+    args = {"command": argv[0], "fn": fn}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = dests.get(token, positional)
+        value = next(tokens, "-") if token in dests else token
+        if dest in args or value.startswith("-"):
+            return None
+        args[dest] = value
+    if len(args) != 3 + len(options):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConsistencyError as e:

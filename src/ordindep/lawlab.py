@@ -209,6 +209,9 @@ class Counterexample(Record):
     dist: Dist
     formulas: tuple[Formula, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "formulas", tuple(self.formulas))  # a caller's list stays theirs
+
 
 def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
     """Two-line rendering: the instantiating formulas, then the distribution."""
@@ -217,6 +220,69 @@ def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
     shown = ", ".join(format_formula(f, vocab) for f in ce.formulas) if ce.formulas else "(none)"
     cells = "; ".join(f"{vocab.format_world(w)}={lv}" for w, lv in enumerate(ce.dist.levels))
     return f"{pad}formulas: {shown}\n{pad}dist (top {ce.dist.top}): {cells}"
+
+
+def _counterexample_record(ce: Optional[Counterexample]) -> Optional[dict]:
+    """The JSON form of a counterexample that ``check --jsonl`` writes."""
+    if ce is None:
+        return None
+    vocab = ce.dist.vocab
+    return {
+        "formulas": [format_formula(f, vocab) for f in ce.formulas],
+        "dist": {"atoms": list(vocab.atoms), "top": ce.dist.top, "levels": list(ce.dist.levels)},
+    }
+
+
+def run_command(args) -> int:
+    """The CLI's ``check`` or ``table`` command (``args.command``) on its
+    parsed ``atoms``, ``top`` and ``budget``, and for check ``jsonl``."""
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if args.command == "check":
+        _print_check(run_catalog(args.atoms, args.top, budget), args.jsonl)
+    else:
+        _print_table(criteria_table(args.atoms, args.top, budget))
+    return 0
+
+
+def _print_check(reports: list[LawReport], jsonl: Optional[str]) -> None:
+    failures = 0
+    for rep in reports:
+        mark = "ok  " if rep.holds else "FAIL"
+        print(f"{mark} {rep.law_id} ({rep.evaluations} evaluations)")
+        if not rep.holds:
+            failures += 1
+            print(format_counterexample(rep.counterexample))
+    print(f"{len(reports) - failures} of {len(reports)} laws hold")
+    if jsonl:
+        import json  # only check --jsonl loads json
+
+        with open(jsonl, "w", encoding="utf-8") as fh:
+            for rep in reports:
+                record = {
+                    "law": rep.law_id,
+                    "atoms": rep.atoms,
+                    "top": rep.top,
+                    "evaluations": rep.evaluations,
+                    "holds": rep.holds,
+                    "counterexample": _counterexample_record(rep.counterexample),
+                }
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _print_table(reports: dict[tuple[str, str], LawReport]) -> None:
+    width = max(len("criterion"), max(len(c) for c in CRITERIA))
+    print("criterion".ljust(width) + "".join(rel.rjust(8) for rel in RELATIONS))
+    for criterion in CRITERIA:
+        row = criterion.ljust(width)
+        for relation in RELATIONS:
+            row += ("yes" if reports[(relation, criterion)].holds else "no").rjust(8)
+        print(row)
+    for criterion in CRITERIA:
+        for relation in RELATIONS:
+            rep = reports[(relation, criterion)]
+            if not rep.holds:
+                print(f"counterexample for {relation} {criterion}:")
+                print(format_counterexample(rep.counterexample, indent=2))
 
 
 class LawReport(Record):
@@ -623,6 +689,9 @@ class ProbeReport(Record):
     satisfying: int
     realized: int
     unrealized: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "unrealized", tuple(self.unrealized))  # a caller's list stays theirs
 
 
 # the sampled probe draws PROBE_SAMPLES mutations from a generator seeded

@@ -255,6 +255,10 @@ class ParsedDocument(Record):
     rules: tuple[Rule, ...]
     directives: tuple[IndepDirective, ...]
 
+    def __post_init__(self):
+        for name in ("rules", "directives"):  # a caller's lists stay theirs
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def base(self) -> RuleBase:
         return RuleBase(self.vocab, self.rules)
 

@@ -151,6 +151,8 @@ class StratifiedRanking(Record):
     priorities: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("rules", "strata", "priorities"):  # a caller's lists stay theirs
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         # (evidence, conclusion) -> verdict, oldest first
         object.__setattr__(self, "_answers", OrderedDict())
 

@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ordindep import parse_dist
-from ordindep.cli import main
+from ordindep.cli import COMMANDS, _build_parser, _read_args, main
 
 RANK_FIXED_EXPECTED = """\
 stratum 0 (priority 1):
@@ -224,6 +226,130 @@ def test_corpus_output_matches_transcripts(capsys, monkeypatch):
     assert not mismatched, f"{len(mismatched)} of {len(transcripts)} differ, first {mismatched[:3]}"
 
 
+USAGE = "usage: ordindep [-h] {rank,query,dist,indep,check,table} ...\n"
+
+HELP = USAGE + """
+Ordinal independence relations and default-rule ranking.
+
+positional arguments:
+  {rank,query,dist,indep,check,table}
+    rank                stratify a rule base and print pi*
+    query               query a rule base
+    dist                dump pi* of a rule base as a distribution file
+    indep               classify a pair of formulas on a distribution
+    check               run the law catalog at desk scale
+    table               print the composition criteria table
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# older Python releases quote the choices in this message, newer ones list them bare
+BOGUS = {
+    USAGE + f"ordindep: error: argument command: invalid choice: 'bogus' (choose from {choices})\n"
+    for choices in ("'rank', 'query', 'dist', 'indep', 'check', 'table'", "rank, query, dist, indep, check, table")
+}
+
+
+def _outcome(argv: list[str], capsys) -> tuple:
+    """Exit status, stdout and stderr of one command, whether main returns or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+class TestArgparseText:
+    # usage, help and error text as argparse wrote it before the file
+    # commands got their own reader, which must leave every byte alone
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):  # argparse wraps help at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_no_command(self, capsys):
+        want = USAGE + "ordindep: error: the following arguments are required: command\n"
+        assert _outcome([], capsys) == (2, "", want)
+
+    def test_help(self, capsys):
+        assert _outcome(["--help"], capsys) == (0, HELP, "")
+
+    def test_unknown_command(self, capsys):
+        code, out, err = _outcome(["bogus"], capsys)
+        assert (code, out) == (2, "") and err in BOGUS
+
+    def test_missing_positional(self, capsys):
+        want = "usage: ordindep rank [-h] kb\nordindep rank: error: the following arguments are required: kb\n"
+        assert _outcome(["rank"], capsys) == (2, "", want)
+
+    def test_missing_option(self, data_dir, capsys):
+        want = (
+            "usage: ordindep query [-h] -e EVIDENCE -c CONCLUSION kb\n"
+            "ordindep query: error: the following arguments are required: -c/--conclusion\n"
+        )
+        assert _outcome(["query", str(data_dir / "penguin.kb"), "-e", "p"], capsys) == (2, "", want)
+
+    def test_abbreviated_option(self, data_dir, capsys):
+        argv = ["query", str(data_dir / "penguin.kb"), "--evid", "p", "-c", "l"]
+        assert _read_args(argv) is None
+        assert _outcome(argv, capsys) == (0, "Ignored\n", "")
+
+
+FLAGS = ("-e", "--evidence", "-c", "--conclusion", "-a", "--antecedent", "--atoms", "--top")
+ODD = ("--evid", "-e=p", "--", "-h", "-1")
+VALUES = ("", "!a", "a | c", "p", "1", "data/penguin.kb", "data/sample.dist")
+NAMES = ("rank", "query", "dist", "indep", "check", "table")
+
+
+@st.composite
+def near_commands(draw) -> list[str]:
+    """A command with its positional and required options in any order and
+    spelling, then up to two tokens inserted, replaced or dropped."""
+    name = draw(st.sampled_from(NAMES))
+    options = COMMANDS[name][2] if name in COMMANDS else ()
+    words = [[draw(st.sampled_from(VALUES))]]
+    words += [[draw(st.sampled_from(pair)), draw(st.sampled_from(VALUES))] for pair in options]
+    tokens = [name] + [token for word in draw(st.permutations(words)) for token in word]
+    pool = st.sampled_from(NAMES + FLAGS + ODD + VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("insert", "replace", "drop")))
+        if edit == "drop":
+            del tokens[i]
+        else:
+            tokens[i : i + (edit == "replace")] = [draw(pool)]
+    return tokens
+
+
+@given(st.one_of(near_commands(), st.lists(st.sampled_from(NAMES + FLAGS + ODD + VALUES), max_size=7)))
+@example(["query", "data/penguin.kb", "-e", "p", "-c", "l"])
+@example(["indep", "-c", "", "--antecedent", "a | c", "data/sample.dist"])
+@example(["query", "data/penguin.kb", "-e", "-1", "-c", "l"])
+@example(["query", "data/penguin.kb", "-e", "p", "-e", "p", "-c", "l"])
+@example(["dist", "--", "data/penguin.kb"])
+def test_reader_agrees_with_argparse(argv):
+    fast = _read_args(argv)
+    try:
+        slow = _build_parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None, argv
+    else:
+        assert fast is None or vars(fast) == vars(slow), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "data/penguin.kb"],
+        ["query", "--conclusion", "l", "data/penguin.kb", "-e", "p"],
+        ["dist", "data/penguin.kb"],
+        ["indep", "data/sample.dist", "-a", "a", "--conclusion", "c"],
+    ],
+)
+def test_reader_takes_well_formed_file_commands(argv):
+    assert vars(_read_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
 class TestErrorPaths:
     def test_inconsistent_base(self, data_dir, capsys):
         rc = main(["rank", str(data_dir / "contradictory.kb")])
@@ -325,7 +451,7 @@ from ordindep import cli
 for argv in (["rank", "data/penguin.kb"], ["query", "data/penguin.kb", "-e", "p", "-c", "b"],
              ["dist", "data/penguin.kb"], ["indep", "data/sample.dist", "-a", "a", "-c", "c"]):
     assert cli.main(argv) == 0, argv
-heavy = {"dataclasses", "inspect", "json", "pathlib", "numpy", "ast"} & (set(sys.modules) - before)
+heavy = {"argparse", "dataclasses", "inspect", "json", "pathlib", "numpy", "ast"} & (set(sys.modules) - before)
 assert not heavy, sorted(heavy)
 """
 

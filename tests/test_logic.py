@@ -362,6 +362,29 @@ class TestRecord:
         assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
 
 
+def tuple_fields(cls) -> list[str]:
+    return [name for name, kind in cls.__dict__.get("__annotations__", {}).items() if kind.startswith("tuple[")]
+
+
+@pytest.mark.parametrize("cls", [cls for cls in RECORDS if tuple_fields(cls)], ids=lambda cls: cls.__name__)
+def test_a_callers_lists_stay_theirs(cls):
+    # every tuple field may come in as a list; the record keeps a tuple
+    fields, _ = RECORDS[cls]
+    lists = {name: list(fields[name]) for name in tuple_fields(cls)}
+    rec = cls(**{**fields, **lists})
+    assert rec == cls(**fields) and hash(rec) == hash(cls(**fields))
+    for name, value in lists.items():
+        assert type(getattr(rec, name)) is tuple
+        value.append(value[0] if value else None)
+    assert rec == cls(**fields) and hash(rec) == hash(cls(**fields))
+
+
+def test_list_taking_records():
+    assert {cls for cls in RECORDS if tuple_fields(cls)} == {
+        Vocabulary, Dist, RuleBase, StratifiedRanking, ParsedDocument, Counterexample, ProbeReport
+    }
+
+
 class TestRecordDetails:
     def test_rule_origin_defaults_to_user(self):
         assert RULE.origin is RuleOrigin.USER
