@@ -139,7 +139,7 @@ class DistEnsemble:
         return len(self.levels)
 
     def dist_at(self, i: int) -> Dist:
-        return Dist(self.vocab, self.top, tuple(self.levels[i].tolist()))
+        return Dist(self.vocab, self.top, self.levels[i].tolist())
 
     def poss_mask(self, mask: int) -> np.ndarray:
         """The mask's row of P: its possibility in every distribution."""
@@ -208,9 +208,6 @@ class Law(Record):
 class Counterexample(Record):
     dist: Dist
     formulas: tuple[Formula, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))  # a caller's list stays theirs
 
 
 def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
@@ -690,9 +687,6 @@ class ProbeReport(Record):
     realized: int
     unrealized: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "unrealized", tuple(self.unrealized))  # a caller's list stays theirs
-
 
 # the sampled probe draws PROBE_SAMPLES mutations from a generator seeded
 # with PROBE_SEED, each flipping between one and PROBE_FLIPS pair bits
@@ -713,7 +707,7 @@ def _score(n: int, candidates: Iterable[int], realized: set[int], mode: str) -> 
     the admitted that no distribution realizes."""
     candidates = list(candidates)
     admitted = list(itertools.compress(candidates, _admitted(candidates, n, mode)))
-    unrealized = tuple(bits for bits in admitted if bits not in realized)
+    unrealized = [bits for bits in admitted if bits not in realized]
     return ProbeReport(n, len(candidates), len(admitted), len(admitted) - len(unrealized), unrealized)
 
 

@@ -32,9 +32,13 @@ class Record:
     A subclass lists its fields as annotations in its class body, in
     order, after any fields of the record class it extends; a class
     attribute with a field's name is that field's default. The
-    annotations are read as names only, never evaluated. A record is
-    built from its fields, positionally or by keyword, and then its
-    ``__post_init__`` runs, which validates and may store derived
+    annotations are read as text, never evaluated. A record is built from
+    its fields, positionally or by keyword. A field whose annotation reads
+    ``tuple[...]``, here or in a class it extends, stores
+    ``tuple(value)``, so a list a caller passes and changes later leaves
+    the record as built; a ``str`` there raises ``TypeError`` rather than
+    becoming its characters. Then the record's ``__post_init__`` runs,
+    which validates and may store derived
     attributes with ``object.__setattr__``; those are not fields. After
     that nothing can be assigned or deleted. Two records are equal when
     they are of the same class with equal fields, a record hashes as the
@@ -44,12 +48,15 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+    _tuples: frozenset[str] = frozenset()
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__annotations__", ())
+        own = cls.__dict__.get("__annotations__", {})
         cls._fields += tuple(name for name in own if name not in cls._fields)
+        # str() gives the text of an evaluated annotation such as tuple[int, ...]
+        cls._tuples |= {name for name, kind in own.items() if str(kind).startswith("tuple[")}
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs):
@@ -70,6 +77,11 @@ class Record:
                     if name not in cls._defaults:
                         raise TypeError(f"{cls.__name__}() missing argument {name!r}")
                     values[name] = cls._defaults[name]
+        for name in cls._tuples:
+            value = values[name]
+            if isinstance(value, str):
+                raise TypeError(f"{cls.__name__}() field {name!r} takes a sequence, not the str {value!r}")
+            values[name] = tuple(value)
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -104,7 +116,6 @@ class Vocabulary(Record):
     atoms: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))  # a caller's list stays theirs
         if not (1 <= len(self.atoms) <= MAX_ATOMS):
             raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(self.atoms)}")
         seen = {}

@@ -63,8 +63,7 @@ class Dist(Record):
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        top, levels = self.top, tuple(self.levels)
-        object.__setattr__(self, "levels", levels)  # a caller's list stays theirs
+        top, levels = self.top, self.levels
         try:
             operator.index(top)
         except TypeError:

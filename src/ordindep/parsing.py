@@ -11,7 +11,8 @@ in any order; `#` starts a comment.  A distribution file holds `atoms:`,
 `top:`, then one line per world.  World keys are either a bitstring read
 as a binary number (bit i of the value is atom i, so the leftmost digit
 is the last atom) or a pattern of literals naming every atom once, like
-`a !c`.  Unlisted worlds sit at level 0.
+`a !c`.  `top` and the levels are ASCII decimals, ``-?[0-9]+``.
+Unlisted worlds sit at level 0.
 
 A formula is read in one pass: one ``findall`` splits it into token
 texts, and precedence climbing builds the tree from them.  Columns are
@@ -255,10 +256,6 @@ class ParsedDocument(Record):
     rules: tuple[Rule, ...]
     directives: tuple[IndepDirective, ...]
 
-    def __post_init__(self):
-        for name in ("rules", "directives"):  # a caller's lists stay theirs
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
     def base(self) -> RuleBase:
         return RuleBase(self.vocab, self.rules)
 
@@ -294,7 +291,7 @@ def _parse_atoms(rest: str, vocab: Vocabulary | None, line: int, rest_offset: in
     if not names:
         raise ParseError("atoms line names no atoms", line, rest_offset + 1)
     try:
-        return Vocabulary(tuple(names))
+        return Vocabulary(names)
     except ValueError as e:
         raise ParseError(str(e), line, rest_offset + 1) from None
 
@@ -348,7 +345,7 @@ def parse_kb(text: str) -> ParsedDocument:
         raise ParseError("missing atoms line", 0, 0)
     if not rules:
         raise ParseError("the file declares no rules", 0, 0)
-    return ParsedDocument(vocab, tuple(rules), tuple(directives))
+    return ParsedDocument(vocab, rules, directives)
 
 
 def format_rule(rule: Rule, vocab: Vocabulary) -> str:
@@ -389,6 +386,19 @@ def _world_from_key(key: str, vocab: Vocabulary, line: int) -> int:
     return world
 
 
+def _integer(rest: str, what: str, line: int, column: int) -> int:
+    """The integer the stripped rest spells in ASCII decimal, ``-?[0-9]+``;
+    ``int()`` alone would also take ``+2``, ``1_0`` and the digits of other
+    scripts."""
+    text = rest.strip()
+    try:
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"{what} must be an integer, got {text!r}", line, column)
+
+
 def parse_dist(text: str) -> Dist:
     vocab: Vocabulary | None = None
     top: int | None = None
@@ -400,10 +410,7 @@ def parse_dist(text: str) -> Dist:
         elif head == "top":
             if top is not None:
                 raise ParseError("duplicate top line", line, 1)
-            try:
-                top = int(rest.strip())
-            except ValueError:
-                raise ParseError(f"top must be an integer, got {rest.strip()!r}", line, rest_offset + 1) from None
+            top = _integer(rest, "top", line, rest_offset + 1)
             if top < 1:
                 raise ParseError("top must be at least 1", line, rest_offset + 1)
             top_line = line
@@ -415,12 +422,7 @@ def parse_dist(text: str) -> Dist:
             world = _world_from_key(head, vocab, line)
             if world in levels:
                 raise ParseError(f"duplicate world {head!r}", line, 1)
-            try:
-                level = int(rest.strip())
-            except ValueError:
-                raise ParseError(
-                    f"level must be an integer, got {rest.strip()!r}", line, rest_offset + 1
-                ) from None
+            level = _integer(rest, "level", line, rest_offset + 1)
             if not (0 <= level <= top):
                 raise ParseError(f"level {level} out of range 0..{top}", line, rest_offset + 1)
             levels[world] = level
@@ -428,7 +430,7 @@ def parse_dist(text: str) -> Dist:
         raise ParseError("missing atoms line", 0, 0)
     if top is None:
         raise ParseError("missing top line", 0, 0)
-    filled = tuple(levels.get(w, 0) for w in range(vocab.world_count))
+    filled = [levels.get(w, 0) for w in range(vocab.world_count)]
     if max(filled) != top:
         raise ParseError("distribution has no world at the top level", top_line, 1)
     return Dist(vocab, top, filled)

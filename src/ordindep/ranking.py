@@ -55,9 +55,6 @@ class RuleBase(Record):
     vocab: Vocabulary
     rules: tuple[Rule, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))  # a caller's list stays theirs
-
     def deduped(self) -> "RuleBase":
         """Drop structural repeats of (antecedent, consequent), keeping the first."""
         seen = set()
@@ -67,7 +64,7 @@ class RuleBase(Record):
             if key not in seen:
                 seen.add(key)
                 kept.append(r)
-        return RuleBase(self.vocab, tuple(kept))
+        return RuleBase(self.vocab, kept)
 
     def extended(self, rule: Rule) -> "RuleBase":
         return RuleBase(self.vocab, self.rules + (rule,))
@@ -151,8 +148,6 @@ class StratifiedRanking(Record):
     priorities: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("rules", "strata", "priorities"):  # a caller's lists stay theirs
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         # (evidence, conclusion) -> verdict, oldest first
         object.__setattr__(self, "_answers", OrderedDict())
 
@@ -199,12 +194,12 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
             violated |= viol[i]
         for w in mask_worlds(violated):  # later strata overwrite earlier ones
             levels[w] = m - 1 - s
-    pi_star = Dist(vocab, m, tuple(levels))
+    pi_star = Dist(vocab, m, levels)
 
     for i in range(len(base.rules)):
         if pi_star.poss_mask(verif[i]) <= pi_star.poss_mask(viol[i]):
             raise RuntimeError(f"ranking failed to accept rule {i}; stratification is broken")
-    return StratifiedRanking(vocab, base.rules, strata, pi_star, tuple(priorities))
+    return StratifiedRanking(vocab, base.rules, strata, pi_star, priorities)
 
 
 def priority_necessities(ranking: StratifiedRanking) -> tuple[int, ...]:

@@ -385,6 +385,37 @@ def test_list_taking_records():
     }
 
 
+@pytest.mark.parametrize(
+    "cls,name",
+    [(cls, name) for cls in RECORDS for name in tuple_fields(cls)],
+    ids=lambda x: x if isinstance(x, str) else x.__name__,
+)
+def test_a_str_for_a_tuple_field_is_refused(cls, name):
+    # tuple("ab") would quietly be ("a", "b")
+    fields, _ = RECORDS[cls]
+    with pytest.raises(TypeError, match=rf"{cls.__name__}\(\) field '{name}' .* not the str 'ab'"):
+        cls(**{**fields, name: "ab"})
+
+
+def test_a_subclass_stores_its_own_and_inherited_tuple_fields():
+    class Tagged(RuleBase):
+        extra: tuple[int, ...] = ()
+
+    rules, extra = [RULE], [1, 2]
+    rec = Tagged(AB, rules, extra)
+    rules.append(RULE)
+    extra.append(3)
+    assert (rec.rules, rec.extra) == ((RULE,), (1, 2))
+    assert Tagged(AB, [RULE]).extra == () and hash(rec) == hash((AB, (RULE,), (1, 2)))
+    with pytest.raises(TypeError, match="'extra'"):
+        Tagged(AB, [RULE], "12")
+
+
+def test_only_validating_records_define_post_init():
+    # the tuple rule lives in Record; a __post_init__ validates or derives
+    assert {cls for cls in RECORDS if "__post_init__" in cls.__dict__} == {Vocabulary, Dist, StratifiedRanking}
+
+
 class TestRecordDetails:
     def test_rule_origin_defaults_to_user(self):
         assert RULE.origin is RuleOrigin.USER

@@ -616,6 +616,10 @@ class TestDistParsing:
             ("atoms: a\ntop: 1\na: 2\n", "out of range"),
             ("atoms: a\ntop: 1\na: x\n", "must be an integer"),
             ("atoms: a\ntop: zero\na: 1\n", "top must be an integer"),
+            # ASCII decimals only, though int() takes all three
+            ("atoms: a\ntop: +2\na: 2\n", "top must be an integer, got '+2'"),
+            ("atoms: a\ntop: 1\na: 1_0\n", "level must be an integer, got '1_0'"),
+            ("atoms: a\ntop: 1\na: \u0661\n", "level must be an integer, got '\u0661'"),
             ("atoms: a\ntop: 0\na: 0\n", "top must be at least 1"),
             ("atoms: a\ntop: 1\ntop: 1\na: 1\n", "duplicate top line"),
             ("top: 1\n", "world line appears before the atoms"),
