@@ -1,6 +1,8 @@
 """Ordinal possibility distributions, qualitative independence relations,
 and exception-tolerant ranking of default-rule bases."""
 
+from types import ModuleType as _ModuleType
+
 from .logic import (
     FALSE,
     TRUE,
@@ -99,56 +101,6 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FALSE",
-    "TRUE",
-    "And",
-    "Atom",
-    "Formula",
-    "Not",
-    "Or",
-    "Vocabulary",
-    "format_formula",
-    "iff",
-    "implies",
-    "model_mask",
-    "models",
-    "Dist",
-    "TriState",
-    "cond_nec",
-    "cond_poss",
-    "entails",
-    "nec",
-    "poss",
-    "qpo_geq",
-    "IndepReport",
-    "classify",
-    "cond_weak_indep",
-    "contraction_dep",
-    "recover_strict_order",
-    "related_z",
-    "strong_indep",
-    "strong_indep_direct",
-    "weak_indep",
-    "weak_indep_direct",
-    "ConsistencyError",
-    "Rule",
-    "RuleBase",
-    "RuleOrigin",
-    "StratifiedRanking",
-    "compute_pi_star",
-    "inject_independence",
-    "priority_necessities",
-    "query",
-    "stratify",
-    "tolerates",
-    "IndepDirective",
-    "ParseError",
-    "ParsedDocument",
-    "format_dist",
-    "format_rule",
-    "parse_dist",
-    "parse_formula",
-    "parse_kb",
-    *_LAWLAB_NAMES,
-]
+# every public name imported above (the submodules excepted), then the lab's
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += _LAWLAB_NAMES

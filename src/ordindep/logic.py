@@ -40,7 +40,10 @@ class Record:
     becoming its characters. Then the record's ``__post_init__`` runs,
     which validates and may store derived
     attributes with ``object.__setattr__``; those are not fields. After
-    that nothing can be assigned or deleted. Two records are equal when
+    that nothing can be assigned or deleted. Pickling and copying rebuild
+    a record through its constructor from its fields, so its derived
+    attributes are derived afresh, never shared with or copied from the
+    original. Two records are equal when
     they are of the same class with equal fields, a record hashes as the
     tuple of its fields, and its ``repr`` is ``Cls(field=value, ...)``.
     Unlike a named tuple, a record is not a tuple: it does not unpack or
@@ -91,6 +94,9 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __reduce__(self):
+        return type(self), self._values()
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -110,8 +116,25 @@ class Record:
         return f"{type(self).__qualname__}({parts})"
 
 
+# How many distinct atom tuples _vocab_key remembers, least recently built
+# dropped first.
+_VOCAB_KEYS = 256
+
+
+@lru_cache(maxsize=_VOCAB_KEYS)
+def _vocab_key(atoms: tuple[str, ...]) -> object:
+    return object()
+
+
 class Vocabulary(Record):
-    """Ordered atom names; fixes the world encoding (atom i = bit i)."""
+    """Ordered atom names; fixes the world encoding (atom i = bit i).
+
+    ``_key`` is a derived sentinel object, the same one for equal
+    vocabularies, so a memo can key on it by identity in place of hashing
+    and comparing the names.  Vocabularies with other atoms never share
+    it; an equal one gets a new sentinel only once its atoms have dropped
+    out of the last ``_VOCAB_KEYS`` distinct tuples built.
+    """
 
     atoms: tuple[str, ...]
 
@@ -129,6 +152,7 @@ class Vocabulary(Record):
                 raise ValueError(f"duplicate atom name: {name!r}")
             seen[name] = i
         object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "_key", _vocab_key(self.atoms))
 
     @property
     def n(self) -> int:

@@ -21,15 +21,18 @@ atom leaves are the shared ``logic.ATOMS`` nodes, so a parse builds only
 the operator nodes above them.
 
 ``parse_formula`` answers a repeated query from a memo keyed by the text
-and the vocabulary's atom names: it returns the very formula the first
-successful parse built, along with the masks already memoized on its
-nodes.  The memo holds at most ``MEMO_NODES`` (2,048) formula nodes,
-counted as the parser counts them, and drops its oldest texts to stay
-within that; a formula larger than the whole bound is not stored.  So
-the masks it can pin come to at most 2,048 * 2**n / 8 bytes for n atoms:
-4 MB at 14 atoms, 16 MB at 16.  A failed parse is never stored, so every
-error is raised afresh.  ``parse_kb`` and ``parse_dist`` neither read nor
-fill the memo: a document's texts are parsed once.
+and the vocabulary's ``_key``, a sentinel object that equal vocabularies
+share, so a hit hashes only the text and compares the sentinel by
+identity; the atom names are neither hashed nor compared.  It returns the
+very formula the first successful parse built, along with the masks
+already memoized on its nodes.  The memo holds at most ``MEMO_NODES``
+(2,048) formula nodes, counted as the parser counts them, and drops its
+oldest texts to stay within that; a formula larger than the whole bound
+is not stored.  So the masks it can pin come to at most 2,048 * 2**n / 8
+bytes for n atoms: 4 MB at 14 atoms, 16 MB at 16.  A failed parse is
+never stored, so every error is raised afresh.  ``parse_kb`` and
+``parse_dist`` neither read nor fill the memo: a document's texts are
+parsed once.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ def _parse(text: str, vocab: Vocabulary, line: int, col_offset: int) -> tuple[Fo
 # over one rule base ask a few hundred distinct texts, a few nodes each.
 MEMO_NODES = 2_048
 
-# (text, atom names) -> (formula, node count), oldest first
-_memo: dict[tuple[str, tuple[str, ...]], tuple[Formula, int]] = {}
+# (text, vocabulary key) -> (formula, node count), oldest first
+_memo: dict[tuple[str, object], tuple[Formula, int]] = {}
 _memo_nodes = 0  # the node counts in _memo, summed
 
 
@@ -225,9 +228,7 @@ def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     """The formula text denotes over vocab, from the memo when the same
     text was parsed over the same atom names before."""
     global _memo_nodes
-    # keyed by the atoms tuple: hashing the Vocabulary record would build
-    # a tuple of its fields on every call
-    key = (text, vocab.atoms)
+    key = (text, vocab._key)
     held = _memo.get(key)
     if held is not None:
         return held[0]

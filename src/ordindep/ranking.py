@@ -15,13 +15,17 @@ violates otherwise.  Each rule then holds with necessity equal to its
 stratum index plus one, which is reported as the rule's priority.
 
 A ranking is asked many queries of its one distribution, and answers a
-repeated pair from its own memo: a dict keyed by the (evidence,
-conclusion) formulas, whose hashes are cached on the nodes and whose
-identical objects compare by identity.  It holds at most ``_ANSWERS``
+repeated pair from its own memo: a dict keyed by the two hash ints cached
+on the (evidence, conclusion) nodes, holding the pair it was asked with
+and the verdict.  A held verdict is used only when both held formulas
+are the ones asked, or equal to them, so a hit costs one lookup of two
+ints and two identity checks, and a hash collision costs a fresh
+``entails``, never a wrong verdict.  The memo holds at most ``_ANSWERS``
 (256) verdicts and drops the oldest first, so besides the verdicts it
 pins at most 256 pairs of the caller's formulas with the masks memoized
 on their nodes.  A failed query is never stored.  The memo is derived,
-so it takes no part in equality, hashing or repr, and it lives exactly
+so it takes no part in equality, hashing or repr; a copy or an unpickled
+ranking starts with an empty one of its own, and the memo lives exactly
 as long as the ranking whose distribution its answers come from.
 """
 
@@ -148,7 +152,7 @@ class StratifiedRanking(Record):
     priorities: tuple[int, ...]
 
     def __post_init__(self):
-        # (evidence, conclusion) -> verdict, oldest first
+        # (evidence hash, conclusion hash) -> (evidence, conclusion, verdict), oldest first
         object.__setattr__(self, "_answers", OrderedDict())
 
     def query(self, evidence: Formula, conclusion: Formula) -> TriState:
@@ -158,13 +162,16 @@ class StratifiedRanking(Record):
         last ``_ANSWERS`` verdicts; an error is raised afresh every time.
         """
         answers = self._answers
-        key = (evidence, conclusion)
-        verdict = answers.get(key)
-        if verdict is None:
-            verdict = entails(self.pi_star, evidence, conclusion)
-            answers[key] = verdict
-            if len(answers) > _ANSWERS:
-                answers.popitem(last=False)  # one atomic step, so threads may share a ranking
+        key = (evidence._hash, conclusion._hash)
+        held = answers.get(key)
+        if held is not None:
+            e, c, verdict = held
+            if (e is evidence or e == evidence) and (c is conclusion or c == conclusion):
+                return verdict
+        verdict = entails(self.pi_star, evidence, conclusion)
+        answers[key] = evidence, conclusion, verdict
+        if len(answers) > _ANSWERS:
+            answers.popitem(last=False)  # one atomic step, so threads may share a ranking
         return verdict
 
 

@@ -134,6 +134,29 @@ def test_package_resolves_lawlab_names_lazily():
     assert issubclass(BudgetError, ValueError)
 
 
+def test_package_exports():
+    # __all__ is worked out from the package's imports; these are its names
+    import ordindep
+
+    assert len(ordindep.__all__) == len(set(ordindep.__all__))
+    assert set(ordindep.__all__) == {
+        "FALSE", "TRUE", "And", "Atom", "Formula", "Not", "Or", "Vocabulary", "format_formula", "iff",
+        "implies", "model_mask", "models",
+        "Dist", "TriState", "cond_nec", "cond_poss", "entails", "nec", "poss", "qpo_geq",
+        "IndepReport", "classify", "cond_weak_indep", "contraction_dep", "recover_strict_order", "related_z",
+        "strong_indep", "strong_indep_direct", "weak_indep", "weak_indep_direct",
+        "ConsistencyError", "Rule", "RuleBase", "RuleOrigin", "StratifiedRanking", "compute_pi_star",
+        "inject_independence", "priority_necessities", "query", "stratify", "tolerates",
+        "IndepDirective", "ParseError", "ParsedDocument", "format_dist", "format_rule", "parse_dist",
+        "parse_formula", "parse_kb",
+        "CATALOG", "CELLS", "DEFAULT_BUDGET", "BudgetError", "Counterexample", "DistEnsemble", "Law",
+        "LawReport", "ProbeReport", "check_law", "completeness_probe_exact", "completeness_probe_sampled",
+        "count_dists", "criteria_table", "enumerate_dists", "generator_formulas", "lab_vocabulary",
+        "law_by_id", "realized_relations", "relation_axioms_hold", "run_catalog",
+    }
+    assert all(hasattr(ordindep, name) for name in ordindep.__all__)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "n,top,expected",

@@ -440,17 +440,27 @@ class TestRecordDetails:
         assert DIST._ranked == (0, 1, 2, 3)
         assert DIST._planes == ((2, 0b1100), (1, 0b1011))
         assert AC._index == {"a": 0, "c": 1}
+        assert AC._key is Vocabulary(["a", "c"])._key is not Vocabulary(("c", "a"))._key
         fields, _ = RECORDS[StratifiedRanking]
         ranking = StratifiedRanking(**fields)
         assert ranking.query(A, B) is TriState.ACCEPTED
-        assert ranking._answers == {(A, B): TriState.ACCEPTED}
+        assert list(ranking._answers.values()) == [(A, B, TriState.ACCEPTED)]
         assert ranking == StratifiedRanking(**fields) and hash(ranking) == hash(StratifiedRanking(**fields))
-        for rec, name in ((DIST, "_ranked"), (DIST, "_planes"), (AC, "_index"), (ranking, "_answers")):
+        derived = ((DIST, "_ranked"), (DIST, "_planes"), (AC, "_index"), (AC, "_key"), (ranking, "_answers"))
+        for rec, name in derived:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
             with pytest.raises(AttributeError):
                 delattr(rec, name)
             assert name not in repr(rec)
+
+    def test_pickle_and_copies_derive_afresh(self):
+        # built through the constructor, so __post_init__ derives them anew
+        for twin in (pickle.loads(pickle.dumps(AC)), copy.copy(AC), copy.deepcopy(AC)):
+            assert twin._index == AC._index and twin._index is not AC._index
+        for twin in (pickle.loads(pickle.dumps(DIST)), copy.copy(DIST), copy.deepcopy(DIST)):
+            assert twin._planes == DIST._planes and twin._ranked == DIST._ranked
+            assert twin._ranked is not DIST._ranked
 
     def test_post_init_validates_keyword_construction(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import reduce
 
 import re
@@ -26,7 +28,7 @@ from ordindep import (
     parse_kb,
 )
 from ordindep.logic import ATOMS, model_mask
-from ordindep import parsing
+from ordindep import logic, parsing
 from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, MEMO_NODES, _TOKEN_RE, _climb, _located, _parse
 from ordindep.ranking import Rule, RuleOrigin
 
@@ -432,6 +434,11 @@ def _memo_consistent() -> bool:
     )
 
 
+def _held_texts(vocab: Vocabulary) -> list[str]:
+    """The texts the memo holds a formula for over vocab, oldest first."""
+    return [text for text, key in parsing._memo if key is vocab._key]
+
+
 class TestFormulaMemo:
     def test_repeat_under_an_equal_vocabulary_is_the_same_object(self):
         text = "a & !b | a"
@@ -447,6 +454,34 @@ class TestFormulaMemo:
         assert ab != ba
         assert ba == _parse(text, Vocabulary(("b", "a")), 0, 0)[0] == And(Atom(1), Not(Atom(0)))
         assert parse_formula(text, AB) is ab
+        assert parse_formula(text, Vocabulary(["b", "a"])) is ba
+
+    @pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_copied_vocabulary_hits_the_originals_entries(self, copier):
+        text = "b | !a & b"
+        first = parse_formula(text, AB)
+        twin = copier(AB)
+        assert twin == AB and twin._key is AB._key
+        assert parse_formula(text, twin) is first
+
+    def test_parses_stay_right_past_the_key_cache(self):
+        # more distinct atom tuples than _vocab_key remembers, so ("a", "b")
+        # drops out and its next vocabulary gets a new key; every parse,
+        # memo hit or miss, stays equal to a fresh one over its own order
+        _clear_memo()
+        text = "a & !b | x0"
+        names = [("a", "b", "x0"), ("b", "a", "x0")]
+        names += [("a", "b", "x0", f"y{i}") for i in range(logic._VOCAB_KEYS + 1)]
+        keys = {}
+        for _ in range(2):
+            for atoms in names:
+                vocab = Vocabulary(atoms)
+                keys.setdefault(atoms, []).append(vocab._key)
+                assert parse_formula(text, vocab) == _parse(text, vocab, 0, 0)[0], atoms
+                assert _memo_consistent()
+        assert keys[names[0]][0] is not keys[names[0]][1]
+        assert len({id(key) for atoms in names for key in keys[atoms]}) == 2 * len(names)
 
     @pytest.mark.parametrize("text", ["a & zz", "a %", "(a", "a b", "!" * 150 + "a", "a" + " <-> a" * 12])
     def test_errors_are_raised_afresh_and_never_stored(self, text):
@@ -454,7 +489,7 @@ class TestFormulaMemo:
         assert isinstance(want, tuple)
         for _ in range(3):
             assert _parsed(parse_formula, text, AB) == want
-            assert (text, AB.atoms) not in parsing._memo
+            assert text not in _held_texts(AB)
 
     def test_kb_and_dist_parsing_leave_the_memo_alone(self, data_dir):
         _clear_memo()
@@ -472,18 +507,18 @@ class TestFormulaMemo:
         first = [parse_formula(text, AB) for text in texts]
         assert _memo_consistent()
         held = MEMO_NODES // 4
-        assert list(parsing._memo) == [(text, AB.atoms) for text in texts[-held:]]
+        assert list(parsing._memo) == [(text, AB._key) for text in texts[-held:]]
         again = parse_formula(texts[0], AB)  # evicted; re-parsed, it evicts the oldest
         assert again is not first[0] and again == first[0]
         assert parse_formula(texts[0], AB) is again
-        assert (texts[-held], AB.atoms) not in parsing._memo
+        assert _held_texts(AB) == texts[-held + 1:] + texts[:1]
         assert _memo_consistent() and len(parsing._memo) == held
 
     def test_formula_larger_than_the_bound_is_not_stored(self):
         text = "a" + " <-> a" * 9  # 8 * 2**9 - 7 = 4089 nodes
         f = parse_formula(text, AB)
         assert _nodes(f) > MEMO_NODES
-        assert (text, AB.atoms) not in parsing._memo
+        assert text not in _held_texts(AB)
         assert parse_formula(text, AB) == f
         assert _memo_consistent()
 

@@ -13,6 +13,7 @@ from ordindep import (
     ConsistencyError,
     Dist,
     Not,
+    Or,
     TriState,
     Vocabulary,
     compute_pi_star,
@@ -317,6 +318,25 @@ class TestQueries:
         fresh = pickle.loads(pickle.dumps(compute_pi_star(base)))
         assert [fresh.query(e, c) for e, c in pairs] == verdicts
 
+    @pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_copy_has_its_own_empty_memo(self, data_dir, copier):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        p, f = parse_formula("p", doc.vocab), parse_formula("f", doc.vocab)
+        ranking.query(p, f)
+        twin = copier(ranking)
+        assert twin._answers is not ranking._answers and _held(twin) == []
+        assert twin.query(f, p) is TriState.REJECTED
+        assert _held(twin) == [(f, p, TriState.REJECTED)]
+        assert _held(ranking) == [(p, f, TriState.REJECTED)]
+
+
+def _held(ranking) -> list[tuple]:
+    """The (evidence, conclusion, verdict) triples a ranking's memo holds,
+    oldest first."""
+    return list(ranking._answers.values())
+
 
 class TestQueryMemo:
     """A ranking answers a repeated (evidence, conclusion) from its memo."""
@@ -332,7 +352,7 @@ class TestQueryMemo:
             twin = (eval(repr(e), vars(logic)), eval(repr(c), vars(logic)))
             for pair in ((e, c), twin, (e, c)):
                 assert ranking.query(*pair) is want
-            assert ranking._answers[e, c] is want
+            assert (e, c, want) in _held(ranking)
 
     def test_a_repeat_does_not_call_entails(self, data_dir, monkeypatch):
         doc, base = load(data_dir, "penguin.kb")
@@ -349,11 +369,17 @@ class TestQueryMemo:
             assert ranking.query(p, f) is TriState.REJECTED
         assert ranking.query(Atom(0), Atom(2)) is TriState.REJECTED  # equal, not identical
         assert len(calls) == 1
-        assert ranking.query(f, p) is TriState.REJECTED  # flyers are normally no penguins
+        # a pair built by the constructors, then an equal pair built again
+        e, c = And(Atom(0), Not(Atom(3))), Or(Not(Atom(2)), Atom(3))
+        verdict = ranking.query(e, c)
         assert len(calls) == 2
+        assert ranking.query(And(Atom(0), Not(Atom(3))), Or(Not(Atom(2)), Atom(3))) is verdict
+        assert len(calls) == 2
+        assert ranking.query(f, p) is TriState.REJECTED  # flyers are normally no penguins
+        assert len(calls) == 3
         # another ranking keeps a memo of its own
         assert compute_pi_star(base).query(p, f) is TriState.REJECTED
-        assert len(calls) == 3
+        assert len(calls) == 4
 
     def test_holds_the_latest_256_answers(self, data_dir):
         doc, base = load(data_dir, "penguin.kb")
@@ -365,7 +391,9 @@ class TestQueryMemo:
         for e, c in pairs:
             assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
         assert len(ranking._answers) == ranking_module._ANSWERS == 256
-        assert list(ranking._answers) == pairs[44:]
+        held = _held(ranking)
+        assert [(e, c) for e, c, _ in held] == pairs[44:]
+        assert all(e is pe and c is pc for (e, c, _), (pe, pc) in zip(held, pairs[44:]))
         for e, c in pairs:
             assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
         assert len(ranking._answers) == 256
@@ -378,7 +406,20 @@ class TestQueryMemo:
         for _ in range(2):
             with pytest.raises(ValueError, match="out of range"):
                 ranking.query(Atom(9), p)
-        assert list(ranking._answers) == [(p, p)]
+        assert _held(ranking) == [(p, p, TriState.ACCEPTED)]
+
+    def test_a_planted_entry_under_the_same_hashes_is_not_used(self, data_dir):
+        # the memo is keyed by the two hash ints; a held pair that is not
+        # the one asked (a hash collision) is answered afresh and replaced
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        p, f, b = (parse_formula(t, doc.vocab) for t in ("p", "f", "b"))
+        want = entails(ranking.pi_star, p, f)
+        assert want is TriState.REJECTED
+        for planted in ((b, f, TriState.ACCEPTED), (p, b, TriState.ACCEPTED), (b, b, TriState.IGNORED)):
+            ranking._answers[p._hash, f._hash] = planted
+            assert ranking.query(p, f) is want
+            assert ranking._answers[p._hash, f._hash] == (p, f, want)
 
 
 class TestPriorities:
