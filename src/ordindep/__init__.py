@@ -16,7 +16,6 @@ from .logic import (
     iff,
     implies,
     model_mask,
-    models,
 )
 from .measures import (
     Dist,
@@ -26,14 +25,11 @@ from .measures import (
     entails,
     nec,
     poss,
-    qpo_geq,
 )
 from .independence import (
     IndepReport,
     classify,
     cond_weak_indep,
-    contraction_dep,
-    recover_strict_order,
     related_z,
     strong_indep,
     strong_indep_direct,
@@ -48,10 +44,7 @@ from .ranking import (
     StratifiedRanking,
     compute_pi_star,
     inject_independence,
-    priority_necessities,
-    query,
     stratify,
-    tolerates,
 )
 from .parsing import (
     IndepDirective,

@@ -17,7 +17,7 @@ import sys
 from types import SimpleNamespace
 
 from .independence import classify, cond_weak_indep
-from .logic import format_formula
+from .logic import Vocabulary, format_formula
 from .parsing import (
     ParseError,
     ParsedDocument,
@@ -27,7 +27,7 @@ from .parsing import (
     parse_formula,
     parse_kb,
 )
-from .ranking import ConsistencyError, RuleOrigin, StratifiedRanking, compute_pi_star
+from .ranking import ConsistencyError, Rule, RuleOrigin, StratifiedRanking, compute_pi_star
 
 
 def _read(path: str) -> str:
@@ -40,14 +40,18 @@ def _load_ranking(path: str) -> tuple[ParsedDocument, StratifiedRanking]:
     return doc, compute_pi_star(doc.injected_base())
 
 
+def _rule_line(rule: Rule, vocab: Vocabulary) -> str:
+    """A listed rule, tagged when an ``indep:`` line put it in the base."""
+    tag = "  [indep]" if rule.origin is RuleOrigin.INDEPENDENCE else ""
+    return f"  {format_rule(rule, vocab)}{tag}"
+
+
 def _print_ranking(doc: ParsedDocument, ranking: StratifiedRanking) -> None:
     vocab = ranking.vocab
     for level, stratum in enumerate(ranking.strata):
         print(f"stratum {level} (priority {level + 1}):")
         for i in sorted(stratum):
-            rule = ranking.rules[i]
-            tag = "  [indep]" if rule.origin is RuleOrigin.INDEPENDENCE else ""
-            print(f"  {format_rule(rule, vocab)}{tag}")
+            print(_rule_line(ranking.rules[i], vocab))
     print()
     print(f"pi* (top = {ranking.pi_star.top}):")
     for w in range(vocab.world_count):
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         for rule in e.residual:
-            print(f"  {format_rule(rule, e.vocab)}", file=sys.stderr)
+            print(_rule_line(rule, e.vocab), file=sys.stderr)
         return 1
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

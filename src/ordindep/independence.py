@@ -26,7 +26,7 @@ single ``Dist``.
 
 from __future__ import annotations
 
-from .logic import Formula, Not, Or, Record, full_mask, model_mask
+from .logic import Formula, Record, full_mask, model_mask
 from .measures import Dist, cond_nec, nec
 
 
@@ -86,11 +86,6 @@ def weak_indep_direct(d: Dist, a: Formula, c: Formula) -> bool:
     )
 
 
-def contraction_dep(d: Dist, a: Formula, c: Formula) -> bool:
-    """Accepted conclusion whose disjunction with a adds nothing to a's necessity."""
-    return (nec(d, c) > 0) & (nec(d, a) >= nec(d, Or(a, c)))
-
-
 def cond_weak_indep(d: Dist, conclusion: Formula, context: Formula, extra: Formula) -> bool:
     """Conclusion accepted in the context and still accepted with the extra fact."""
     return (cond_nec(d, conclusion, context) > 0) & (cond_nec(d, conclusion, context & extra) > 0)
@@ -110,9 +105,3 @@ def classify(d: Dist, a: Formula, c: Formula) -> IndepReport:
         poss_na_c=d.poss_mask(na_mask & c_mask),
         poss_na_nc=d.poss_mask(na_mask & nc_mask),
     )
-
-
-def recover_strict_order(d: Dist, a: Formula, c: Formula) -> bool:
-    """Strict comparative possibility poss(a) > poss(c), read off a strong
-    independence test between the disjunction and the negated side."""
-    return strong_indep(d, Or(a, c), Not(c))

@@ -388,11 +388,6 @@ def mask_worlds(mask: int) -> list[int]:
     return [w for w, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def models(formula: Formula, vocab: Vocabulary) -> tuple[int, ...]:
-    """All worlds satisfying the formula, ascending."""
-    return tuple(mask_worlds(model_mask(formula, vocab.n)))
-
-
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
     return Or(Not(antecedent), consequent)
 

@@ -198,8 +198,3 @@ def entails(d: Dist, evidence: Formula, conclusion: Formula) -> TriState:
     if not kept:
         return _REJECTED
     return _IGNORED
-
-
-def qpo_geq(d: Dist, a: Formula, b: Formula) -> bool:
-    """Qualitative possibility ordering: a is at least as possible as b."""
-    return poss(d, a) >= poss(d, b)

@@ -34,8 +34,8 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 
-from .logic import And, Formula, Not, Or, Record, Vocabulary, full_mask, mask_worlds, model_mask
-from .measures import Dist, TriState, entails, nec
+from .logic import And, Formula, Record, Vocabulary, full_mask, mask_worlds, model_mask
+from .measures import Dist, TriState, entails
 
 
 class RuleOrigin(enum.Enum):
@@ -49,10 +49,6 @@ class Rule(Record):
     antecedent: Formula
     consequent: Formula
     origin: RuleOrigin = RuleOrigin.USER
-
-    def material(self) -> Formula:
-        """Material counterpart, satisfied unless the rule is violated."""
-        return Or(Not(self.antecedent), self.consequent)
 
 
 class RuleBase(Record):
@@ -89,19 +85,6 @@ def _verif_mask(rule: Rule, n: int) -> int:
 
 def _viol_mask(rule: Rule, n: int) -> int:
     return model_mask(rule.antecedent, n) & (full_mask(n) ^ model_mask(rule.consequent, n))
-
-
-def tolerates(others: tuple[Rule, ...], rule: Rule, vocab: Vocabulary) -> bool:
-    """Some world verifies the rule outside the union of the others' violations.
-
-    Including the rule itself among the others changes nothing, since a
-    verifying world never violates its own rule.
-    """
-    n = vocab.n
-    broken = 0
-    for other in others:
-        broken |= _viol_mask(other, n)
-    return _verif_mask(rule, n) & ~broken != 0
 
 
 def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
@@ -207,20 +190,6 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
         if pi_star.poss_mask(verif[i]) <= pi_star.poss_mask(viol[i]):
             raise RuntimeError(f"ranking failed to accept rule {i}; stratification is broken")
     return StratifiedRanking(vocab, base.rules, strata, pi_star, priorities)
-
-
-def priority_necessities(ranking: StratifiedRanking) -> tuple[int, ...]:
-    """Necessity of each rule's material form under the induced distribution.
-
-    For rules whose violation is satisfiable this matches the reported
-    priority; a rule that cannot be violated pins at the top instead.
-    """
-    return tuple(nec(ranking.pi_star, r.material()) for r in ranking.rules)
-
-
-def query(kb: RuleBase, evidence: Formula, conclusion: Formula) -> TriState:
-    """One-shot: rank the base, then test the conclusion on the evidence."""
-    return compute_pi_star(kb).query(evidence, conclusion)
 
 
 def inject_independence(kb: RuleBase, context: Formula, extra: Formula, conclusion: Formula) -> RuleBase:

@@ -8,6 +8,8 @@ each rule's masks once and tests every remaining rule against one union of
 the remaining violations per round.  ``tolerates`` and ``stratify`` are
 kept here unchanged, so a test can require both to give equal strata, or
 to raise ConsistencyError with the same residual rules in the same order.
+The library has no ``tolerates`` of its own; the tests of tolerance ask
+this one.
 """
 
 from __future__ import annotations

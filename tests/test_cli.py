@@ -359,6 +359,17 @@ class TestErrorPaths:
         assert "a |~ b" in err
         assert "a |~ !b" in err
 
+    def test_inconsistent_base_tags_injected_rules(self, tmp_path, capsys):
+        # the residual lists the rule an indep: line added as rank lists it
+        path = tmp_path / "indep_contradiction.kb"
+        path.write_text("atoms: a b\nrule: a |~ b\nindep: b wrt a given !a & a\n")
+        rc = main(["rank", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: inconsistent rule base: 1 rule(s) tolerate no order",
+            "  !a & a & a |~ b  [indep]",
+        ]
+
     def test_missing_file(self, capsys):
         rc = main(["rank", "/nonexistent/x.kb"])
         assert rc == 2

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 
 from ordindep import (
@@ -10,15 +11,15 @@ from ordindep import (
     Vocabulary,
     classify,
     cond_weak_indep,
-    contraction_dep,
+    nec,
     poss,
-    recover_strict_order,
     related_z,
     strong_indep,
     strong_indep_direct,
     weak_indep,
     weak_indep_direct,
 )
+from ordindep.lawlab import DistEnsemble, ScalarOps, _law, check_law, law_by_id
 
 from strategies import dist_with_formulas
 
@@ -44,15 +45,18 @@ class TestWorkedExample:
         assert strong_indep(WORKED, Or(A, Not(C)), C)
 
     def test_no_contraction_dependence(self):
-        assert not contraction_dep(WORKED, A, C)
+        # c survives contracting by a: accepted, and still accepted given !a
+        assert nec(WORKED, C) > 0
+        assert weak_indep(WORKED, Not(A), C)
 
     def test_conditional_weak_form(self):
         assert cond_weak_indep(WORKED, C, TRUE, A)
 
     def test_order_recovery(self):
+        # strong_indep(a | c, ~c) reads poss(a) > poss(c) (strong-order-embedding-strict):
         # poss(a) = 3 is not strictly above poss(c) = 3, but beats poss(!c) = 1
-        assert not recover_strict_order(WORKED, A, C)
-        assert recover_strict_order(WORKED, A, Not(C))
+        assert not strong_indep(WORKED, Or(A, C), Not(C))
+        assert strong_indep(WORKED, Or(A, Not(C)), Not(Not(C)))
 
 
 class TestFrozenWitnesses:
@@ -72,8 +76,10 @@ class TestFrozenWitnesses:
         assert not strong_indep(d, C, A)
 
     def test_contraction_dependence_witness(self):
+        # c leaves when contracting by a: accepted, but not given !a
         d = Dist(AC, 3, (0, 0, 0, 3))
-        assert contraction_dep(d, A, C)
+        assert nec(d, C) > 0
+        assert not weak_indep(d, Not(A), C)
 
 
 class TestDefinitionAgreement:
@@ -119,5 +125,26 @@ class TestRelationChain:
 class TestOrderRecovery:
     @given(dist_with_formulas(count=2))
     def test_matches_strict_level_comparison(self, dfg):
+        # iff(strong_indep(a | c, ~c), poss(a) > poss(c)), on vocabularies and tops past the lab's grids
         d, a, c = dfg
-        assert recover_strict_order(d, a, c) == (poss(d, a) > poss(d, c))
+        assert law_by_id("strong-order-embedding-strict").predicate(ScalarOps(d), a, c)
+
+
+# Contraction as weak dependence on the negation: by the Harper identity
+# (Alchourron, Gardenfors and Makinson 1985), contracting by a keeps what
+# both the beliefs and their revision by !a keep, so an accepted c leaves
+# (nec(a) >= nec(a | c)) exactly when c is not accepted given !a.
+HARPER = "iff(nec(c) > 0 and nec(a) >= nec(a | c), nec(c) > 0 and not weak_indep(~a, c))"
+
+
+class TestContraction:
+    @pytest.mark.parametrize(("n", "top", "evaluations"), [(1, 3, 112), (2, 3, 34_300), (3, 2, 1_614_080)])
+    def test_harper_identity_holds(self, n, top, evaluations):
+        report = check_law(_law("contraction-harper", HARPER), DistEnsemble(n, top))
+        assert (report.holds, report.evaluations) == (True, evaluations)
+
+    @pytest.mark.parametrize(("n", "top"), [(2, 3), (3, 2)])
+    def test_unnegated_side_is_refuted(self, n, top):
+        mutant = HARPER.replace("weak_indep(~a, c)", "weak_indep(a, c)")
+        report = check_law(_law("contraction-harper-unnegated", mutant), DistEnsemble(n, top))
+        assert not report.holds

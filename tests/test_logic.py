@@ -18,7 +18,6 @@ from ordindep import (
     iff,
     implies,
     model_mask,
-    models,
     parse_formula,
 )
 from ordindep import (
@@ -126,10 +125,10 @@ class TestMasks:
         assert model_mask(Or(A, B), 2) == 0b1110
         assert model_mask(Not(Or(A, B)), 2) == 0b0001
 
-    def test_models_tuple(self):
-        assert models(And(A, B), AB) == (3,)
-        assert models(Or(A, Not(A)), AB) == (0, 1, 2, 3)
-        assert models(FALSE, AB) == ()
+    def test_model_worlds(self):
+        assert mask_worlds(model_mask(And(A, B), 2)) == [3]
+        assert mask_worlds(model_mask(Or(A, Not(A)), 2)) == [0, 1, 2, 3]
+        assert mask_worlds(model_mask(FALSE, 2)) == []
 
     def test_atom_stripes_match_brute_force(self):
         for n in range(1, 13):

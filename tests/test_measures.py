@@ -29,7 +29,6 @@ from ordindep import (
     parse_formula,
     parse_kb,
     poss,
-    qpo_geq,
 )
 from ordindep.lawlab import enumerate_dists
 from ordindep.logic import evaluate, full_mask, model_mask
@@ -452,15 +451,3 @@ class TestEntailmentDifferential:
                 assert entails(d, e, c) is want, (case.base.signs, etext, ctext)
                 verdicts.add(want)
             assert TriState.IGNORED in verdicts
-
-
-class TestOrdering:
-    def test_worked(self):
-        assert qpo_geq(WORKED, A, C)
-        assert qpo_geq(WORKED, C, A)
-        assert not qpo_geq(WORKED, Not(C), A)
-
-    @given(dist_with_formulas(count=2))
-    def test_matches_level_comparison(self, dfg):
-        d, a, b = dfg
-        assert qpo_geq(d, a, b) == (poss(d, a) >= poss(d, b))
