@@ -116,24 +116,26 @@ class Record:
         return f"{type(self).__qualname__}({parts})"
 
 
-# How many distinct atom tuples _vocab_key remembers, least recently built
+# How many distinct atom tuples _vocab_table remembers, least recently built
 # dropped first.
 _VOCAB_KEYS = 256
 
 
 @lru_cache(maxsize=_VOCAB_KEYS)
-def _vocab_key(atoms: tuple[str, ...]) -> object:
-    return object()
+def _vocab_table(atoms: tuple[str, ...]) -> dict:
+    return {}
 
 
 class Vocabulary(Record):
     """Ordered atom names; fixes the world encoding (atom i = bit i).
 
-    ``_key`` is a derived sentinel object, the same one for equal
-    vocabularies, so a memo can key on it by identity in place of hashing
-    and comparing the names.  Vocabularies with other atoms never share
-    it; an equal one gets a new sentinel only once its atoms have dropped
-    out of the last ``_VOCAB_KEYS`` distinct tuples built.
+    ``_parsed`` is a derived dict of formula text -> ``Formula``, the
+    parse memo's table for these atoms (``parsing`` fills it).  Equal
+    vocabularies, copies included, share one table, so a repeated text
+    costs one probe of it and the atom names are neither hashed nor
+    compared.  Vocabularies with other atoms never share it; an equal one
+    gets a new, empty table only once its atoms have dropped out of the
+    last ``_VOCAB_KEYS`` distinct tuples built.
     """
 
     atoms: tuple[str, ...]
@@ -152,7 +154,7 @@ class Vocabulary(Record):
                 raise ValueError(f"duplicate atom name: {name!r}")
             seen[name] = i
         object.__setattr__(self, "_index", seen)
-        object.__setattr__(self, "_key", _vocab_key(self.atoms))
+        object.__setattr__(self, "_parsed", _vocab_table(self.atoms))
 
     @property
     def n(self) -> int:
@@ -366,7 +368,8 @@ def evaluate(world: int, formula: Formula) -> bool:
     """Truth value at one world via direct AST recursion.
 
     Kept independent of the mask route so the two can cross-check
-    each other in tests.
+    each other: the tests and ``bench/run.py``'s ``check_rank``, which
+    recomputes pi* levels and query verdicts through it, both call it.
     """
     if isinstance(formula, Atom):
         return bool((world >> formula.index) & 1)

@@ -20,24 +20,26 @@ worked out only when a parse fails, for its error.  A parsed formula's
 atom leaves are the shared ``logic.ATOMS`` nodes, so a parse builds only
 the operator nodes above them.
 
-``parse_formula`` answers a repeated query from a memo keyed by the text
-and the vocabulary's ``_key``, a sentinel object that equal vocabularies
-share, so a hit hashes only the text and compares the sentinel by
-identity; the atom names are neither hashed nor compared.  It returns the
-very formula the first successful parse built, along with the masks
-already memoized on its nodes.  The memo holds at most ``MEMO_NODES``
-(2,048) formula nodes, counted as the parser counts them, and drops its
-oldest texts to stay within that; a formula larger than the whole bound
-is not stored.  So the masks it can pin come to at most 2,048 * 2**n / 8
-bytes for n atoms: 4 MB at 14 atoms, 16 MB at 16.  A failed parse is
-never stored, so every error is raised afresh.  ``parse_kb`` and
-``parse_dist`` neither read nor fill the memo: a document's texts are
-parsed once.
+``parse_formula`` answers a repeated query from a memo: the texts parsed
+over a vocabulary's atoms, in a table ``vocab._parsed`` that equal
+vocabularies share, so a hit is one probe of that table with the text,
+which builds no object; the atom names are neither hashed nor compared.
+It returns the very formula the first successful parse built, along with
+the masks already memoized on its nodes.  The memo holds at most
+``MEMO_NODES`` (2,048) formula nodes, counted as the parser counts them
+and summed over every vocabulary's table, and drops the oldest texts,
+whichever table holds them, to stay within that; a formula larger than
+the whole bound is not stored.  So the masks it can pin come to at most
+2,048 * 2**n / 8 bytes for n atoms: 4 MB at 14 atoms, 16 MB at 16.  A
+failed parse is never stored, so every error is raised afresh.
+``parse_kb`` and ``parse_dist`` neither read nor fill the memo: a
+document's texts are parsed once.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Iterator
 
 from .logic import (
@@ -219,8 +221,8 @@ def _parse(text: str, vocab: Vocabulary, line: int, col_offset: int) -> tuple[Fo
 # over one rule base ask a few hundred distinct texts, a few nodes each.
 MEMO_NODES = 2_048
 
-# (text, vocabulary key) -> (formula, node count), oldest first
-_memo: dict[tuple[str, object], tuple[Formula, int]] = {}
+# (vocabulary table, text, node count) for every held formula, oldest first
+_memo: deque[tuple[dict[str, Formula], str, int]] = deque()
 _memo_nodes = 0  # the node counts in _memo, summed
 
 
@@ -228,16 +230,19 @@ def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     """The formula text denotes over vocab, from the memo when the same
     text was parsed over the same atom names before."""
     global _memo_nodes
-    key = (text, vocab._key)
-    held = _memo.get(key)
-    if held is not None:
-        return held[0]
+    table = vocab._parsed
+    formula = table.get(text)
+    if formula is not None:
+        return formula
     formula, size = _parse(text, vocab, 0, 0)
     if size <= MEMO_NODES:
         _memo_nodes += size
         while _memo_nodes > MEMO_NODES:
-            _memo_nodes -= _memo.pop(next(iter(_memo)))[1]
-        _memo[key] = formula, size
+            old_table, old_text, old_size = _memo.popleft()
+            _memo_nodes -= old_size
+            old_table.pop(old_text, None)  # None: threads parsing one text at once each queue it
+        table[text] = formula
+        _memo.append((table, text, size))
     return formula
 
 

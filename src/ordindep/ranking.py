@@ -15,15 +15,18 @@ violates otherwise.  Each rule then holds with necessity equal to its
 stratum index plus one, which is reported as the rule's priority.
 
 A ranking is asked many queries of its one distribution, and answers a
-repeated pair from its own memo: a dict keyed by the two hash ints cached
-on the (evidence, conclusion) nodes, holding the pair it was asked with
-and the verdict.  A held verdict is used only when both held formulas
-are the ones asked, or equal to them, so a hit costs one lookup of two
-ints and two identity checks, and a hash collision costs a fresh
-``entails``, never a wrong verdict.  The memo holds at most ``_ANSWERS``
-(256) verdicts and drops the oldest first, so besides the verdicts it
-pins at most 256 pairs of the caller's formulas with the masks memoized
-on their nodes.  A failed query is never stored.  The memo is derived,
+repeated pair from its own memo: rows keyed by the hash int cached on
+the evidence node, each a dict keyed by the conclusion's hash int that
+holds the pair it was asked with and the verdict.  A held verdict is
+used only when both held formulas are the ones asked, or equal to them,
+so a hit costs two dict probes and two identity checks and builds no
+object, and a hash collision costs a fresh ``entails``, never a wrong
+verdict; the fresh verdict replaces the held one.  The memo holds at
+most ``_ANSWERS`` (256) verdicts and drops the oldest first, so besides
+the verdicts it pins at most 256 pairs of the caller's formulas with the
+masks memoized on their nodes.  A failed query is never stored.  Threads
+may share a ranking: a race at worst drops a verdict early, to be asked
+afresh, and never raises or gives a wrong verdict.  The memo is derived,
 so it takes no part in equality, hashing or repr; a copy or an unpickled
 ranking starts with an empty one of its own, and the memo lives exactly
 as long as the ranking whose distribution its answers come from.
@@ -32,7 +35,7 @@ as long as the ranking whose distribution its answers come from.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
+from collections import deque
 
 from .logic import And, Formula, Record, Vocabulary, full_mask, mask_worlds, model_mask
 from .measures import Dist, TriState, entails
@@ -135,8 +138,10 @@ class StratifiedRanking(Record):
     priorities: tuple[int, ...]
 
     def __post_init__(self):
-        # (evidence hash, conclusion hash) -> (evidence, conclusion, verdict), oldest first
-        object.__setattr__(self, "_answers", OrderedDict())
+        # evidence hash -> {conclusion hash -> (evidence, conclusion, verdict)}
+        object.__setattr__(self, "_answers", {})
+        # the (evidence hash, conclusion hash) of every held verdict, oldest first
+        object.__setattr__(self, "_asked", deque())
 
     def query(self, evidence: Formula, conclusion: Formula) -> TriState:
         """Whether the evidence makes the conclusion accepted under pi*.
@@ -145,16 +150,29 @@ class StratifiedRanking(Record):
         last ``_ANSWERS`` verdicts; an error is raised afresh every time.
         """
         answers = self._answers
-        key = (evidence._hash, conclusion._hash)
-        held = answers.get(key)
+        row = answers.get(evidence._hash)
+        held = None if row is None else row.get(conclusion._hash)
         if held is not None:
             e, c, verdict = held
             if (e is evidence or e == evidence) and (c is conclusion or c == conclusion):
                 return verdict
         verdict = entails(self.pi_star, evidence, conclusion)
-        answers[key] = evidence, conclusion, verdict
-        if len(answers) > _ANSWERS:
-            answers.popitem(last=False)  # one atomic step, so threads may share a ranking
+        if row is None:
+            row = answers.setdefault(evidence._hash, {})
+        row[conclusion._hash] = evidence, conclusion, verdict
+        if held is None:  # a collision reuses the held pair's slot
+            # queued after it is stored, so whoever pops a slot of the pair drops it
+            asked = self._asked
+            asked.append((evidence._hash, conclusion._hash))
+            while len(asked) > _ANSWERS:
+                try:
+                    e_hash, c_hash = asked.popleft()
+                    oldest = answers[e_hash]
+                    del oldest[c_hash]
+                    if not oldest:
+                        del answers[e_hash]
+                except KeyError:  # another thread dropped it first
+                    pass
         return verdict
 
 

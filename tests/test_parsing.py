@@ -420,23 +420,28 @@ class TestOracleDifferential:
 
 
 def _clear_memo() -> None:
+    for table, _, _ in parsing._memo:
+        table.clear()
     parsing._memo.clear()
     parsing._memo_nodes = 0
 
 
 def _memo_consistent() -> bool:
-    """Every held entry's count is its tree's node count, and the running
-    total is their sum, within the bound."""
-    held = parsing._memo.values()
+    """Every held entry's count is its tree's node count, every formula a
+    table holds has one entry, and the running total is their sum,
+    within the bound."""
+    held = parsing._memo
+    tables = {id(table): table for table, _, _ in held}
     return (
-        all(size == _nodes(f) for f, size in held)
-        and parsing._memo_nodes == sum(size for _, size in held) <= MEMO_NODES
+        all(size == _nodes(table[text]) for table, text, size in held)
+        and sum(map(len, tables.values())) == len(held)
+        and parsing._memo_nodes == sum(size for _, _, size in held) <= MEMO_NODES
     )
 
 
 def _held_texts(vocab: Vocabulary) -> list[str]:
     """The texts the memo holds a formula for over vocab, oldest first."""
-    return [text for text, key in parsing._memo if key is vocab._key]
+    return [text for table, text, _ in parsing._memo if table is vocab._parsed]
 
 
 class TestFormulaMemo:
@@ -462,26 +467,26 @@ class TestFormulaMemo:
         text = "b | !a & b"
         first = parse_formula(text, AB)
         twin = copier(AB)
-        assert twin == AB and twin._key is AB._key
+        assert twin == AB and twin._parsed is AB._parsed
         assert parse_formula(text, twin) is first
 
     def test_parses_stay_right_past_the_key_cache(self):
-        # more distinct atom tuples than _vocab_key remembers, so ("a", "b")
-        # drops out and its next vocabulary gets a new key; every parse,
+        # more distinct atom tuples than _vocab_table remembers, so ("a", "b")
+        # drops out and its next vocabulary gets a new table; every parse,
         # memo hit or miss, stays equal to a fresh one over its own order
         _clear_memo()
         text = "a & !b | x0"
         names = [("a", "b", "x0"), ("b", "a", "x0")]
         names += [("a", "b", "x0", f"y{i}") for i in range(logic._VOCAB_KEYS + 1)]
-        keys = {}
+        tables = {}
         for _ in range(2):
             for atoms in names:
                 vocab = Vocabulary(atoms)
-                keys.setdefault(atoms, []).append(vocab._key)
+                tables.setdefault(atoms, []).append(vocab._parsed)
                 assert parse_formula(text, vocab) == _parse(text, vocab, 0, 0)[0], atoms
                 assert _memo_consistent()
-        assert keys[names[0]][0] is not keys[names[0]][1]
-        assert len({id(key) for atoms in names for key in keys[atoms]}) == 2 * len(names)
+        assert tables[names[0]][0] is not tables[names[0]][1]
+        assert len({id(table) for atoms in names for table in tables[atoms]}) == 2 * len(names)
 
     @pytest.mark.parametrize("text", ["a & zz", "a %", "(a", "a b", "!" * 150 + "a", "a" + " <-> a" * 12])
     def test_errors_are_raised_afresh_and_never_stored(self, text):
@@ -493,12 +498,16 @@ class TestFormulaMemo:
 
     def test_kb_and_dist_parsing_leave_the_memo_alone(self, data_dir):
         _clear_memo()
-        parse_kb((data_dir / "penguin_fixed.kb").read_text())
-        parse_kb("atoms: a b\nrule: a & !b |~ b\nindep: a wrt b given a | b\n")
-        parse_dist((data_dir / "sample.dist").read_text())
-        assert parsing._memo == {} and parsing._memo_nodes == 0
+        docs = [
+            parse_kb((data_dir / "penguin_fixed.kb").read_text()),
+            parse_kb("atoms: a b\nrule: a & !b |~ b\nindep: a wrt b given a | b\n"),
+            parse_dist((data_dir / "sample.dist").read_text()),
+        ]
+        assert not parsing._memo and parsing._memo_nodes == 0
+        assert all(doc.vocab._parsed == {} for doc in docs)
         parse_formula("a & !b", AB)
         assert len(parsing._memo) == 1 and parsing._memo_nodes == 4
+        assert list(AB._parsed) == ["a & !b"]
 
     def test_node_bound(self):
         # distinct texts of the same 4-node tree, 4000 nodes in all
@@ -507,12 +516,33 @@ class TestFormulaMemo:
         first = [parse_formula(text, AB) for text in texts]
         assert _memo_consistent()
         held = MEMO_NODES // 4
-        assert list(parsing._memo) == [(text, AB._key) for text in texts[-held:]]
+        assert [(id(table), text) for table, text, _ in parsing._memo] == [
+            (id(AB._parsed), text) for text in texts[-held:]
+        ]
         again = parse_formula(texts[0], AB)  # evicted; re-parsed, it evicts the oldest
         assert again is not first[0] and again == first[0]
         assert parse_formula(texts[0], AB) is again
         assert _held_texts(AB) == texts[-held + 1:] + texts[:1]
         assert _memo_consistent() and len(parsing._memo) == held
+
+    def test_node_bound_spans_the_vocabulary_tables(self):
+        # the same 4-node texts over ("a", "b") and ("b", "a") in turn, 2,400
+        # nodes in all: one bound over both tables keeps the last 512 parses,
+        # in order, where one bound per table would keep all 600
+        _clear_memo()
+        ba = Vocabulary(("b", "a"))
+        parses = [(text, vocab) for text in ("a &" + " " * k + "!b" for k in range(300)) for vocab in (AB, ba)]
+        for i, (text, vocab) in enumerate(parses):
+            parse_formula(text, vocab)
+            assert _memo_consistent()
+            # the oldest entry went first, whichever table held it
+            start = max(0, i + 1 - MEMO_NODES // 4)
+            assert [(id(table), text) for table, text, _ in parsing._memo] == [
+                (id(v._parsed), t) for t, v in parses[start:i + 1]
+            ]
+        assert len(parsing._memo) == MEMO_NODES // 4 == 512
+        assert len(AB._parsed) == len(ba._parsed) == 256
+        assert _held_texts(AB) == _held_texts(ba) == [text for text, _ in parses[-512::2]]
 
     def test_formula_larger_than_the_bound_is_not_stored(self):
         text = "a" + " <-> a" * 9  # 8 * 2**9 - 7 = 4089 nodes

@@ -1,6 +1,9 @@
 import copy
 import itertools
 import pickle
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, example, given, target
@@ -321,7 +324,8 @@ class TestQueries:
         p, f = parse_formula("p", doc.vocab), parse_formula("f", doc.vocab)
         ranking.query(p, f)
         twin = copier(ranking)
-        assert twin._answers is not ranking._answers and _held(twin) == []
+        assert twin._answers is not ranking._answers and twin._asked is not ranking._asked
+        assert _held(twin) == []
         assert twin.query(f, p) is TriState.REJECTED
         assert _held(twin) == [(f, p, TriState.REJECTED)]
         assert _held(ranking) == [(p, f, TriState.REJECTED)]
@@ -329,8 +333,20 @@ class TestQueries:
 
 def _held(ranking) -> list[tuple]:
     """The (evidence, conclusion, verdict) triples a ranking's memo holds,
-    oldest first."""
-    return list(ranking._answers.values())
+    oldest first; each held verdict has one slot in the order, and no
+    row is left empty."""
+    rows = ranking._answers
+    assert all(rows.values()) and sum(map(len, rows.values())) == len(ranking._asked)
+    return [rows[e_hash][c_hash] for e_hash, c_hash in ranking._asked]
+
+
+def _plant(ranking, e, c, entry) -> None:
+    """Hold entry where the verdict of (e, c) goes, as if (e, c) had been
+    asked and had been answered with it."""
+    row = ranking._answers.setdefault(e._hash, {})
+    if c._hash not in row:
+        ranking._asked.append((e._hash, c._hash))
+    row[c._hash] = entry
 
 
 class TestQueryMemo:
@@ -379,19 +395,16 @@ class TestQueryMemo:
     def test_holds_the_latest_256_answers(self, data_dir):
         doc, base = load(data_dir, "penguin.kb")
         ranking = compute_pi_star(base)
-        lits = [parse_formula(t, doc.vocab) for t in ("p", "!p", "b", "!b", "f", "!f", "l", "!l")]
-        evidence = [And(x, y) for x, y in itertools.product(lits, lits)]  # 64 distinct conjunctions
-        pairs = [(e, c) for c in lits[:5] for e in evidence][:300]
-        assert len(set(pairs)) == 300
+        pairs = _distinct_pairs(doc.vocab)
         for e, c in pairs:
             assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
-        assert len(ranking._answers) == ranking_module._ANSWERS == 256
         held = _held(ranking)
+        assert len(held) == ranking_module._ANSWERS == 256
         assert [(e, c) for e, c, _ in held] == pairs[44:]
         assert all(e is pe and c is pc for (e, c, _), (pe, pc) in zip(held, pairs[44:]))
         for e, c in pairs:
             assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
-        assert len(ranking._answers) == 256
+        assert len(_held(ranking)) == 256
 
     def test_an_error_is_never_stored(self, data_dir):
         doc, base = load(data_dir, "penguin.kb")
@@ -405,16 +418,73 @@ class TestQueryMemo:
 
     def test_a_planted_entry_under_the_same_hashes_is_not_used(self, data_dir):
         # the memo is keyed by the two hash ints; a held pair that is not
-        # the one asked (a hash collision) is answered afresh and replaced
+        # the one asked (a hash collision) is answered afresh and replaced,
+        # in the slot it held
         doc, base = load(data_dir, "penguin.kb")
         ranking = compute_pi_star(base)
         p, f, b = (parse_formula(t, doc.vocab) for t in ("p", "f", "b"))
         want = entails(ranking.pi_star, p, f)
         assert want is TriState.REJECTED
         for planted in ((b, f, TriState.ACCEPTED), (p, b, TriState.ACCEPTED), (b, b, TriState.IGNORED)):
-            ranking._answers[p._hash, f._hash] = planted
+            _plant(ranking, p, f, planted)
             assert ranking.query(p, f) is want
-            assert ranking._answers[p._hash, f._hash] == (p, f, want)
+            assert ranking._answers[p._hash][f._hash] == (p, f, want)
+            assert _held(ranking) == [(p, f, want)]
+
+    def test_a_replaced_collision_keeps_one_slot(self, data_dir):
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        p, f, b = (parse_formula(t, doc.vocab) for t in ("p", "f", "b"))
+        _plant(ranking, p, f, (b, f, TriState.ACCEPTED))
+        assert ranking.query(p, f) is TriState.REJECTED
+        for e, c in _distinct_pairs(doc.vocab):
+            assert ranking.query(e, c) is entails(ranking.pi_star, e, c)
+        assert sum(map(len, ranking._answers.values())) == 256
+        assert len(_held(ranking)) == 256
+
+    def test_threads_sharing_a_ranking(self, data_dir):
+        # four threads ask the same 300 pairs, more than the memo holds, each
+        # in its own order 100 times, switching as often as the interpreter lets
+        doc, base = load(data_dir, "penguin.kb")
+        ranking = compute_pi_star(base)
+        pairs = _distinct_pairs(doc.vocab)
+        want = {pair: entails(ranking.pi_star, *pair) for pair in pairs}
+        wrong, raised = [], []
+
+        def ask(seed):
+            order = random.Random(seed).sample(pairs, len(pairs))
+            try:
+                for _ in range(100):
+                    for e, c in order:
+                        if ranking.query(e, c) is not want[e, c]:
+                            wrong.append((e, c))
+            except Exception as exc:
+                raised.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and raised == []
+        held = [entry for row in ranking._answers.values() for entry in row.values()]
+        assert len(held) <= ranking_module._ANSWERS == 256
+        assert all(verdict is want[e, c] for e, c, verdict in held)
+
+
+def _distinct_pairs(vocab) -> list[tuple]:
+    """300 distinct (evidence, conclusion) pairs over penguin.kb's atoms."""
+    lits = [parse_formula(t, vocab) for t in ("p", "!p", "b", "!b", "f", "!f", "l", "!l")]
+    evidence = [And(x, y) for x, y in itertools.product(lits, lits)]  # 64 distinct conjunctions
+    pairs = [(e, c) for c in lits[:5] for e in evidence][:300]
+    assert len(set(pairs)) == 300
+    return pairs
 
 
 def _material_necessities(ranking):
