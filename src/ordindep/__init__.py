@@ -12,7 +12,6 @@ from .logic import (
     Not,
     Or,
     Vocabulary,
-    format_formula,
     iff,
     implies,
     model_mask,
@@ -50,7 +49,9 @@ from .parsing import (
     IndepDirective,
     ParseError,
     ParsedDocument,
+    format_directive,
     format_dist,
+    format_formula,
     format_rule,
     parse_dist,
     parse_formula,

@@ -17,11 +17,13 @@ import sys
 from types import SimpleNamespace
 
 from .independence import classify, cond_weak_indep
-from .logic import Vocabulary, format_formula
+from .logic import Vocabulary
 from .parsing import (
     ParseError,
     ParsedDocument,
+    format_directive,
     format_dist,
+    format_formula,
     format_rule,
     parse_dist,
     parse_formula,
@@ -58,12 +60,7 @@ def _print_ranking(doc: ParsedDocument, ranking: StratifiedRanking) -> None:
         print(f"{vocab.format_world(w)}: {ranking.pi_star.levels[w]}")
     for d in doc.directives:
         ok = cond_weak_indep(ranking.pi_star, d.conclusion, d.context, d.extra)
-        text = (
-            f"{format_formula(d.conclusion, vocab)} wrt "
-            f"{format_formula(d.extra, vocab)} given "
-            f"{format_formula(d.context, vocab)}"
-        )
-        print(f"indep {text}: {'satisfied' if ok else 'NOT satisfied'}")
+        print(f"indep {format_directive(d, vocab)}: {'satisfied' if ok else 'NOT satisfied'}")
     if ranking.pi_star.is_total_order():
         print(
             "warning: pi* totally orders the worlds; stop adding independence assumptions",

@@ -50,10 +50,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .logic import FALSE, TRUE, And, Formula, Not, Or, Record, Vocabulary, format_formula, full_mask, model_mask
+from .logic import FALSE, TRUE, And, Formula, Not, Or, Record, Vocabulary, full_mask, model_mask
 from . import independence as indep
 from . import measures
 from .measures import Dist
+from .parsing import format_formula
 
 DEFAULT_BUDGET = 10_000_000
 

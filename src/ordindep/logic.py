@@ -12,6 +12,10 @@ a complement is ``full_mask(n) ^ mask``, never the negative ``~mask``.
 ``Vocabulary.atom`` return these, so no leaf is built per token and an
 atom's mask is computed once per n; ``Atom(i)`` still builds a new node,
 equal to the shared one.
+
+This module holds no formula text: ``parsing`` reads and writes it, with
+one operator table for both.  Only the atom-name pattern ``ATOM_NAME``
+and the ``RESERVED_WORDS`` live here, where ``Vocabulary`` checks names.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from functools import lru_cache
 
 MAX_ATOMS = 16
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# An atom name; the parser's tokenizer reads names with this same pattern.
+ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 RESERVED_WORDS = frozenset({"true", "false", "wrt", "given"})
 
@@ -145,7 +150,7 @@ class Vocabulary(Record):
             raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(self.atoms)}")
         seen = {}
         for i, name in enumerate(self.atoms):
-            if not _NAME_RE.match(name):
+            if not ATOM_NAME.fullmatch(name):
                 raise ValueError(f"bad atom name: {name!r}")
             # the parser reads names case-insensitively against these words
             if name.lower() in RESERVED_WORDS:
@@ -397,32 +402,3 @@ def implies(antecedent: Formula, consequent: Formula) -> Formula:
 
 def iff(left: Formula, right: Formula) -> Formula:
     return And(Or(Not(left), right), Or(Not(right), left))
-
-
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
-
-
-def _fmt(formula: Formula, vocab: Vocabulary, prec: int) -> str:
-    if isinstance(formula, TrueFormula):
-        return "true"
-    if isinstance(formula, FalseFormula):
-        return "false"
-    if isinstance(formula, Atom):
-        return vocab.atoms[formula.index]
-    if isinstance(formula, Not):
-        return "!" + _fmt(formula.child, vocab, _PREC_UNARY)
-    if isinstance(formula, And):
-        # right side one level tighter so a reparse rebuilds the same tree
-        text = _fmt(formula.left, vocab, _PREC_AND) + " & " + _fmt(formula.right, vocab, _PREC_AND + 1)
-        return "(" + text + ")" if prec > _PREC_AND else text
-    if isinstance(formula, Or):
-        text = _fmt(formula.left, vocab, _PREC_OR) + " | " + _fmt(formula.right, vocab, _PREC_OR + 1)
-        return "(" + text + ")" if prec > _PREC_OR else text
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def format_formula(formula: Formula, vocab: Vocabulary) -> str:
-    """Concrete syntax; reparsing yields a structurally equal formula."""
-    return _fmt(formula, vocab, 0)

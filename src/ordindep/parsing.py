@@ -1,5 +1,10 @@
 """Text formats: formulas, rule bases, and distribution files.
 
+This module reads and writes all of the package's formula text.  The
+printer, ``format_formula``, takes its operators' precedences from the
+parser's table, and the tokenizer reads names with ``logic.ATOM_NAME``,
+the pattern ``Vocabulary`` checks atom names against.
+
 Formula grammar, loosest to tightest: `<->`, `->` (right associative),
 `|`, `&`, `!`, parentheses.  `true` and `false` are constants, in any
 case; `wrt` and `given` are reserved for indep directives and rejected
@@ -43,7 +48,7 @@ from collections import deque
 from collections.abc import Iterator
 
 from .logic import (
-    ATOMS, FALSE, RESERVED_WORDS, TRUE, Formula, Not, And, Or, Record, Vocabulary, format_formula, iff, implies,
+    ATOM_NAME, ATOMS, FALSE, RESERVED_WORDS, TRUE, Atom, Formula, Not, And, Or, Record, Vocabulary, iff, implies,
 )
 from .measures import Dist
 from .ranking import Rule, RuleBase, inject_independence
@@ -67,10 +72,9 @@ class ParseError(ValueError):
 # One token per match: an operator, a parenthesis, a name, or any other
 # non-space character, which is always an error.  Whitespace between
 # tokens is skipped by the scan, so a token's text is its kind.
-_TOKEN_RE = re.compile(r"<->|->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_TOKEN_RE = re.compile(rf"<->|->|[()!&|]|{ATOM_NAME.pattern}|\S")
 
 _PUNCTUATION = frozenset(("<->", "->", "(", ")", "!", "&", "|"))
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 
 # Parentheses, negations and right-nested implications make the parser
@@ -145,7 +149,7 @@ def _climb(
             if formula is None:
                 if lowered in RESERVED_WORDS:
                     raise _Fail(f"reserved word {tok!r} cannot appear in a formula", i)
-                if tok[0] in _NAME_START:
+                if ATOM_NAME.match(tok):
                     raise _Fail(f"unknown atom: {tok}", i)
                 raise _Fail(f"unexpected token {tok!r}", i)
         height, size = 0, 1
@@ -183,6 +187,38 @@ def _climb(
     return formula, i, height, size
 
 
+# The printer reads the parser's tables: its binary operators take their
+# precedences from _BINARY, `!` binds one level tighter than the tightest of
+# them, and a constant is written as the word _CONSTANTS reads.
+_INFIX = {Or: "|", And: "&"}
+_NOT_PREC = max(row[0] for row in _BINARY.values()) + 1
+_WORDS = {constant: word for word, constant in _CONSTANTS.items()}
+
+
+def _fmt(formula: Formula, vocab: Vocabulary, prec: int) -> str:
+    op = _INFIX.get(type(formula))
+    if op is not None:
+        own = _BINARY[op][0]
+        # right side one level tighter so a reparse rebuilds the same tree
+        text = f"{_fmt(formula.left, vocab, own)} {op} {_fmt(formula.right, vocab, own + 1)}"
+        return f"({text})" if prec > own else text
+    if isinstance(formula, Not):
+        return "!" + _fmt(formula.child, vocab, _NOT_PREC)
+    if isinstance(formula, Atom):
+        if formula.index >= vocab.n:
+            raise ValueError(f"atom index {formula.index} out of range for {vocab.n} atoms")
+        return vocab.atoms[formula.index]
+    word = _WORDS.get(formula)
+    if word is None:
+        raise TypeError(f"not a formula: {formula!r}")
+    return word
+
+
+def format_formula(formula: Formula, vocab: Vocabulary) -> str:
+    """Concrete syntax; reparsing yields a structurally equal formula."""
+    return _fmt(formula, vocab, 0)
+
+
 def _located(text: str, line: int, col_offset: int) -> list[tuple[str, int]]:
     """Each token of text with its column; raises the ParseError for the
     first character that starts no token."""
@@ -190,7 +226,7 @@ def _located(text: str, line: int, col_offset: int) -> list[tuple[str, int]]:
     for m in _TOKEN_RE.finditer(text):
         tok = m.group()
         column = col_offset + m.start() + 1
-        if tok not in _PUNCTUATION and tok[0] not in _NAME_START:
+        if tok not in _PUNCTUATION and not ATOM_NAME.match(tok):
             raise ParseError(f"unexpected character {tok!r}", line, column)
         located.append((tok, column))
     return located
@@ -302,6 +338,12 @@ def _parse_atoms(rest: str, vocab: Vocabulary | None, line: int, rest_offset: in
         raise ParseError(str(e), line, rest_offset + 1) from None
 
 
+def _parse_parts(rest: str, cuts: tuple, vocab: Vocabulary, line: int, rest_offset: int) -> list[Formula]:
+    """The formula between each ``(start, end)`` cut of a line's rest, in
+    order; an error is reported at its column in the line."""
+    return [_parse(rest[start:end], vocab, line, rest_offset + start)[0] for start, end in cuts]
+
+
 def parse_kb(text: str) -> ParsedDocument:
     vocab: Vocabulary | None = None
     rules: list[Rule] = []
@@ -317,14 +359,8 @@ def parse_kb(text: str) -> ParsedDocument:
                     f"a rule needs exactly one {RULE_SEPARATOR!r}", line, rest_offset + 1
                 )
             split_at = rest.index(RULE_SEPARATOR)
-            antecedent, _ = _parse(rest[:split_at], vocab, line, rest_offset)
-            consequent, _ = _parse(
-                rest[split_at + len(RULE_SEPARATOR) :],
-                vocab,
-                line,
-                rest_offset + split_at + len(RULE_SEPARATOR),
-            )
-            rules.append(Rule(antecedent, consequent))
+            cuts = ((0, split_at), (split_at + len(RULE_SEPARATOR), len(rest)))
+            rules.append(Rule(*_parse_parts(rest, cuts, vocab, line, rest_offset)))
         elif head == "indep":
             if vocab is None:
                 raise ParseError("indep appears before the atoms line", line, 1)
@@ -339,12 +375,8 @@ def parse_kb(text: str) -> ParsedDocument:
             wrt_m, given_m = wrt_hits[0], given_hits[0]
             if wrt_m.start() > given_m.start():
                 raise ParseError("'wrt' must come before 'given'", line, rest_offset + wrt_m.start() + 1)
-            conclusion, _ = _parse(rest[: wrt_m.start()], vocab, line, rest_offset)
-            extra, _ = _parse(
-                rest[wrt_m.end() : given_m.start()], vocab, line, rest_offset + wrt_m.end()
-            )
-            context, _ = _parse(rest[given_m.end() :], vocab, line, rest_offset + given_m.end())
-            directives.append(IndepDirective(conclusion, extra, context))
+            cuts = ((0, wrt_m.start()), (wrt_m.end(), given_m.start()), (given_m.end(), len(rest)))
+            directives.append(IndepDirective(*_parse_parts(rest, cuts, vocab, line, rest_offset)))
         else:
             raise ParseError(f"unknown directive: {head!r}", line, 1)
     if vocab is None:
@@ -355,10 +387,13 @@ def parse_kb(text: str) -> ParsedDocument:
 
 
 def format_rule(rule: Rule, vocab: Vocabulary) -> str:
-    return (
-        f"{format_formula(rule.antecedent, vocab)} {RULE_SEPARATOR} "
-        f"{format_formula(rule.consequent, vocab)}"
-    )
+    return f"{format_formula(rule.antecedent, vocab)} {RULE_SEPARATOR} {format_formula(rule.consequent, vocab)}"
+
+
+def format_directive(d: IndepDirective, vocab: Vocabulary) -> str:
+    """``C wrt E given X``, the text after `indep:` that reads back as d."""
+    conclusion, extra, context = (format_formula(f, vocab) for f in (d.conclusion, d.extra, d.context))
+    return f"{conclusion} wrt {extra} given {context}"
 
 
 # -- distribution files ---------------------------------------------------

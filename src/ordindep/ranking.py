@@ -95,7 +95,8 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
 
     A round's stratum is every remaining rule that verifies outside the
     union of the remaining rules' violations; each rule's masks are built
-    once, so a round costs one union and one AND per remaining rule.
+    once, so a round costs one union and its complement, then one AND per
+    remaining rule.
     Works on the base as given (callers wanting dedup do it beforehand).
     Raises ConsistencyError when the remaining rules tolerate none of
     their own, and ValueError on an empty base.
@@ -111,7 +112,8 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
         broken = 0
         for i in remaining:
             broken |= viol[i]
-        tolerated = [i for i in remaining if verif[i] & ~broken]
+        unbroken = full_mask(n) ^ broken
+        tolerated = [i for i in remaining if verif[i] & unbroken]
         if not tolerated:
             raise ConsistencyError(tuple(kb.rules[i] for i in remaining), kb.vocab)
         stratum = frozenset(tolerated)

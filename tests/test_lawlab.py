@@ -140,15 +140,15 @@ def test_package_exports():
 
     assert len(ordindep.__all__) == len(set(ordindep.__all__))
     assert set(ordindep.__all__) == {
-        "FALSE", "TRUE", "And", "Atom", "Formula", "Not", "Or", "Vocabulary", "format_formula", "iff",
-        "implies", "model_mask",
+        "FALSE", "TRUE", "And", "Atom", "Formula", "Not", "Or", "Vocabulary", "iff", "implies",
+        "model_mask",
         "Dist", "TriState", "cond_nec", "cond_poss", "entails", "nec", "poss",
         "IndepReport", "classify", "cond_weak_indep", "related_z",
         "strong_indep", "strong_indep_direct", "weak_indep", "weak_indep_direct",
         "ConsistencyError", "Rule", "RuleBase", "RuleOrigin", "StratifiedRanking", "compute_pi_star",
         "inject_independence", "stratify",
-        "IndepDirective", "ParseError", "ParsedDocument", "format_dist", "format_rule", "parse_dist",
-        "parse_formula", "parse_kb",
+        "IndepDirective", "ParseError", "ParsedDocument", "format_directive", "format_dist",
+        "format_formula", "format_rule", "parse_dist", "parse_formula", "parse_kb",
         "CATALOG", "CELLS", "DEFAULT_BUDGET", "BudgetError", "Counterexample", "DistEnsemble", "Law",
         "LawReport", "ProbeReport", "check_law", "completeness_probe_exact", "completeness_probe_sampled",
         "count_dists", "criteria_table", "enumerate_dists", "generator_formulas", "lab_vocabulary",

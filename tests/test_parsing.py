@@ -18,6 +18,7 @@ from ordindep import (
     Or,
     ParseError,
     Vocabulary,
+    format_directive,
     format_dist,
     format_formula,
     format_rule,
@@ -98,6 +99,31 @@ class TestFormulaGrammar:
     def test_trailing_junk(self):
         with pytest.raises(ParseError, match="unexpected token"):
             parse_formula("a b", AB)
+
+
+class TestPrinter:
+    def test_an_atom_outside_the_vocabulary_is_named(self):
+        message = "atom index 3 out of range for 1 atoms"
+        with pytest.raises(ValueError) as masked:
+            model_mask(Atom(3), 1)
+        assert str(masked.value) == message
+        for write in (
+            lambda v: format_formula(Atom(3), v),
+            lambda v: format_formula(Or(Atom(0), Not(Atom(3))), v),
+            lambda v: format_rule(Rule(Atom(0), Atom(3)), v),
+        ):
+            with pytest.raises(ValueError) as ei:
+                write(Vocabulary(("a",)))
+            assert str(ei.value) == message
+
+    def test_directive_reads_back(self, data_dir):
+        doc = parse_kb((data_dir / "nolegs.kb").read_text())
+        texts = [format_directive(d, doc.vocab) for d in doc.directives]
+        assert texts == ["l wrt p given b", "f wrt n given b"]
+        d = parsing.IndepDirective(Or(A, B), implies(A, B), Not(And(A, B)))
+        text = format_directive(d, AB)
+        assert text == "a | b wrt !a | b given !(a & b)"
+        assert parse_kb(f"atoms: a b\nrule: a |~ b\nindep: {text}\n").directives == (d,)
 
 
 class TestNestingLimit:
@@ -635,6 +661,25 @@ class TestKbParsing:
             parse_kb(text)
         assert fragment in str(ei.value)
         assert ei.value.line == line
+
+    # an error in each part of a rule or indep line, at its column in the line
+    @pytest.mark.parametrize(
+        "third_line,error",
+        [
+            ("rule: zz |~ a", "line 3, column 7: unknown atom: zz"),
+            ("rule: a |~ zz", "line 3, column 12: unknown atom: zz"),
+            ("rule: a |~ (a", "line 3, column 14: unexpected end of formula"),
+            ("indep: zz wrt a given b", "line 3, column 8: unknown atom: zz"),
+            ("indep: a wrt zz given b", "line 3, column 14: unknown atom: zz"),
+            ("indep: a wrt b given zz", "line 3, column 22: unknown atom: zz"),
+            ("indep: a wrt b given b &", "line 3, column 25: unexpected end of formula"),
+            ("indep: a wrt b % given b", "line 3, column 16: unexpected character '%'"),
+        ],
+    )
+    def test_kb_error_columns(self, third_line, error):
+        with pytest.raises(ParseError) as ei:
+            parse_kb(f"atoms: a b\nrule: a |~ b\n{third_line}\n")
+        assert str(ei.value) == error
 
     @pytest.mark.parametrize("word", ["true", "false", "wrt", "given"])
     @pytest.mark.parametrize("casing", [str.lower, str.capitalize, str.upper])
