@@ -72,7 +72,7 @@ _LAWLAB_NAMES = (
     "ProbeReport",
     "check_law",
     "completeness_probe_exact",
-    "completeness_probe_sampled",
+    "completeness_probe_neighbors",
     "count_dists",
     "criteria_table",
     "enumerate_dists",

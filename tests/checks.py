@@ -1,6 +1,11 @@
-"""Shared non-strategy helpers: feasibility and maximality of a ranking."""
+"""Shared non-strategy helpers: feasibility and maximality of a ranking,
+and the benchmark's input generator."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from ordindep import And, Dist, Not, StratifiedRanking, poss
 
@@ -27,3 +32,13 @@ def raisable_worlds(ranking: StratifiedRanking) -> list[tuple[int, int]]:
             if constraints_satisfied(Dist(d.vocab, d.top, raised), ranking.rules):
                 found.append((w, target))
     return found
+
+
+def bench_gen():
+    """The benchmark's seeded input generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

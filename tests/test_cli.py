@@ -64,6 +64,16 @@ DCD-r         yes      no      no
 """
 
 
+def _chain_16(tmp_path) -> str:
+    """A 16-atom (MAX_ATOMS) chain base: x_i |~ x_{i+1}, with one exception."""
+    lines = ["atoms: " + " ".join(f"x{i:02d}" for i in range(16))]
+    lines += [f"rule: x{i:02d} |~ x{i + 1:02d}" for i in range(15)]
+    lines.append("rule: x00 & x01 |~ !x02")
+    path = tmp_path / "chain16.kb"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestRank:
     def test_penguin_fixed_exact(self, data_dir, capsys):
         assert main(["rank", str(data_dir / "penguin_fixed.kb")]) == 0
@@ -89,6 +99,16 @@ class TestRank:
         assert "totally orders the worlds" in out.err
         assert "!a: 0\na: 1\n" in out.out
 
+    def test_16_atoms(self, tmp_path, capsys):
+        assert main(["rank", _chain_16(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        worlds = out[out.index("pi* (top = 2):") + 1 :]
+        assert len(worlds) == len(set(worlds)) == 1 << 16
+        assert worlds[0] == " ".join(f"!x{i:02d}" for i in range(16)) + ": 2"
+        assert out[: out.index("")] == ["stratum 0 (priority 1):"] + [
+            f"  x{i:02d} |~ x{i + 1:02d}" for i in range(1, 15)
+        ] + ["stratum 1 (priority 2):", "  x00 |~ x01", "  x00 & x01 |~ !x02"]
+
 
 class TestQuery:
     @pytest.mark.parametrize(
@@ -104,6 +124,11 @@ class TestQuery:
         rc = main(["query", str(data_dir / "penguin_fixed.kb"), "-e", "p", "-c", "l"])
         assert rc == 0
         assert capsys.readouterr().out == "Accepted\n"
+
+    @pytest.mark.parametrize("ev,cl,verdict", [("x00", "x01", "Accepted"), ("x00 & x01", "x02", "Rejected")])
+    def test_16_atoms(self, tmp_path, capsys, ev, cl, verdict):
+        assert main(["query", _chain_16(tmp_path), "-e", ev, "-c", cl]) == 0
+        assert capsys.readouterr().out == verdict + "\n"
 
 
 class TestDist:
@@ -533,7 +558,6 @@ def test_axiom_probe_runs():
     # the one-atom counts that tests/test_lawlab.py pins
     assert "printed: 65536 candidate relations, 60 satisfy the axioms, 5 realized" in proc.stdout
     assert "schema: 65536 candidate relations, 20 satisfy the axioms, 5 realized" in proc.stdout
-    # the two-atom sampled counts at its fixed 500 draws, seed 0: one
-    # admitted draw per reading is a realized relation
-    assert "printed: 500 distinct sampled relations, 109 satisfy the axioms, 1 realized" in proc.stdout
-    assert "schema: 500 distinct sampled relations, 50 satisfy the axioms, 1 realized" in proc.stdout
+    # the two-atom counts over every relation one pair from a realized one
+    assert "printed: 38144 neighbor relations, 14514 satisfy the axioms, 0 realized" in proc.stdout
+    assert "schema: 38144 neighbor relations, 8360 satisfy the axioms, 0 realized" in proc.stdout

@@ -17,7 +17,7 @@ from ordindep import (
     Vocabulary,
     check_law,
     completeness_probe_exact,
-    completeness_probe_sampled,
+    completeness_probe_neighbors,
     count_dists,
     criteria_table,
     enumerate_dists,
@@ -150,7 +150,7 @@ def test_package_exports():
         "IndepDirective", "ParseError", "ParsedDocument", "format_directive", "format_dist",
         "format_formula", "format_rule", "parse_dist", "parse_formula", "parse_kb",
         "CATALOG", "CELLS", "DEFAULT_BUDGET", "BudgetError", "Counterexample", "DistEnsemble", "Law",
-        "LawReport", "ProbeReport", "check_law", "completeness_probe_exact", "completeness_probe_sampled",
+        "LawReport", "ProbeReport", "check_law", "completeness_probe_exact", "completeness_probe_neighbors",
         "count_dists", "criteria_table", "enumerate_dists", "generator_formulas", "lab_vocabulary",
         "law_by_id", "realized_relations", "relation_axioms_hold", "run_catalog",
     }
@@ -624,12 +624,26 @@ class TestRelationProbe:
         assert relation_axioms_hold(bits, 1, mode="schema")
         assert bits not in _realized_relations(1)
 
-    def test_sampled_probe_pinned(self):
-        # the README's figures: every one of the 500 draws (seed 0) is distinct
-        rep = completeness_probe_sampled()
-        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 500, 109, 1)
-        rep = completeness_probe_sampled(mode="schema")
-        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 500, 50, 1)
+    def test_realized_two_atom_relations_three_flips_apart(self):
+        # so no relation is one pair flip from two realized ones, nor from
+        # a realized one to another: the neighbors are distinct and unrealized
+        realized = sorted(_realized_relations(2))
+        assert min(bin(x ^ y).count("1") for x, y in itertools.combinations(realized, 2)) >= 3
+
+    def test_neighbors_distinct_and_unrealized(self):
+        realized = _realized_relations(2)
+        neighbors = {bits ^ 1 << p for bits in realized for p in range(256)}
+        assert len(neighbors) == 149 * 256 == 38_144
+        assert not neighbors & realized
+
+    def test_neighbor_probe_pinned(self):
+        # the README's figures: every neighbor is a candidate, none realized
+        rep = completeness_probe_neighbors()
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 38_144, 14_514, 0)
+        assert len(rep.unrealized) == 14_514
+        rep = completeness_probe_neighbors(mode="schema")
+        assert (rep.atoms, rep.candidates, rep.satisfying, rep.realized) == (2, 38_144, 8_360, 0)
+        assert len(rep.unrealized) == 8_360
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown axiom mode"):

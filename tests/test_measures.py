@@ -1,10 +1,7 @@
 import functools
-import importlib.util
 import random
-import sys
 import tracemalloc
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +30,7 @@ from ordindep import (
 from ordindep.lawlab import enumerate_dists
 from ordindep.logic import evaluate, full_mask, model_mask
 
+from checks import bench_gen
 from strategies import dist_with_formulas, dists, vocabs
 
 AC = Vocabulary(("a", "c"))
@@ -402,16 +400,6 @@ def _event_formula(mask: int, n: int) -> Formula:
     return reduce(Or, [world(w) for w in range(1 << n) if (mask >> w) & 1], FALSE)
 
 
-def _bench_gen():
-    """The benchmark's seeded input generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestEntailmentDifferential:
     """entails, which reads one descent of the bit-planes, against the
     two-cell definition."""
@@ -430,7 +418,7 @@ class TestEntailmentDifferential:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pool_queries_on_rank_case_pi_star(self, seed):
-        for case in _bench_gen().rank_cases(seed):
+        for case in bench_gen().rank_cases(seed):
             doc = parse_kb(case.base.text)
             d = compute_pi_star(doc.injected_base()).pi_star
             vocab = doc.vocab

@@ -35,7 +35,7 @@ from ordindep.ranking import Rule, RuleBase, RuleOrigin, inject_independence
 
 import stratify_oracle
 from stratify_oracle import tolerates
-from checks import constraints_satisfied, raisable_worlds
+from checks import bench_gen, constraints_satisfied, raisable_worlds
 from strategies import consistent_rule_bases, dist_with_formulas, formulas, rule_bases
 
 
@@ -512,6 +512,75 @@ class TestPriorities:
         assert ranking.priorities == (2, 1, 2, 1, 1)
         # the unviolable rule reports material necessity = top, not its stratum
         assert _material_necessities(ranking) == (2, 1, 2, 1, 2)
+
+
+def _proof_verdict(base: RuleBase, evidence, conclusion) -> TriState:
+    """A query's verdict as a possibilistic-logic proof, read off the
+    weighted base Sigma = {(!A_i | B_i, p_i)} alone, never off pi*: with m
+    strata and Sigma_{>k} the rules of priority above k, L = m - (the least
+    k for which e & Sigma_{>k} has a model).  With L > 0 the conclusion is
+    accepted when every such model satisfies it and rejected when none
+    does; it is ignored otherwise, when L = 0, or when e has no model."""
+    base = base.deduped()
+    strata = stratify(base)
+    m, n = len(strata), base.vocab.n
+    material = [model_mask(TRUE, n)] * (m + 1)  # [p]: where every rule of priority p holds
+    for s, members in enumerate(strata):
+        for i in members:
+            rule = base.rules[i]
+            material[s + 1] &= model_mask(implies(rule.antecedent, rule.consequent), n)
+    models = model_mask(evidence, n)  # of e & Sigma_{>k}, from k = m down
+    if not models:
+        return TriState.IGNORED
+    k = m
+    while k > 0 and models & material[k]:
+        models &= material[k]
+        k -= 1
+    if k == m:  # L = m - k = 0
+        return TriState.IGNORED
+    proved = models & model_mask(conclusion, n)
+    if proved == models:
+        return TriState.ACCEPTED
+    return TriState.REJECTED if not proved else TriState.IGNORED
+
+
+class TestProofVerdicts:
+    """StratifiedRanking.query against possibilistic logic: pi* is the
+    distribution of the weighted base, so every verdict is a proof from
+    the rules of priority above a cut (Benferhat, Dubois and Prade 1992)."""
+
+    @staticmethod
+    def _query_formula(rng, vocab):
+        def literal():
+            x = vocab.atom(rng.randrange(vocab.n))
+            return Not(x) if rng.random() < 0.5 else x
+
+        shape = rng.randrange(3)
+        return literal() if shape == 0 else (And if shape == 1 else Or)(literal(), literal())
+
+    def test_penguin_proofs(self, data_dir):
+        # blocked inheritance, then its repair, as the README tells it
+        for name, verdict in (("penguin", TriState.IGNORED), ("penguin_fixed", TriState.ACCEPTED)):
+            doc = parse_kb((data_dir / f"{name}.kb").read_text())
+            p, leg = parse_formula("p", doc.vocab), parse_formula("l", doc.vocab)
+            assert _proof_verdict(doc.injected_base(), p, leg) is verdict
+
+    def test_random_queries_agree(self, data_dir):
+        # the consistent corpus bases and the rank-synthetic bases of seeds
+        # 1 and 2, each with its indep: rules, as the query command builds it
+        docs = [parse_kb((data_dir / f"{name}.kb").read_text()) for name in ("penguin", "penguin_fixed", "nolegs")]
+        docs += [parse_kb(case.base.text) for seed in (1, 2) for case in bench_gen().rank_cases(seed)]
+        assert len(docs) == 3 + 16
+        rng = random.Random(0)
+        seen = set()
+        for base in (doc.injected_base() for doc in docs):
+            ranking = compute_pi_star(base)
+            for _ in range(400):
+                e, c = (self._query_formula(rng, base.vocab) for _ in range(2))
+                want = _proof_verdict(base, e, c)
+                assert ranking.query(e, c) is want, (base.vocab.atoms, e, c)
+                seen.add(want)
+        assert seen == set(TriState)
 
 
 class TestInjection:
