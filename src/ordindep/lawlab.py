@@ -148,10 +148,27 @@ class DistEnsemble:
         return self.P[mask]
 
 
+# The library calls a law statement may make, each with the sort of its
+# result and the sorts of its arguments (see _SIGNATURES) and the function
+# it calls: each is a ScalarOps method of its name and a statement callee.
+_LIBRARY_CALLS = {
+    "poss": ("l", "f", measures.poss),
+    "nec": ("l", "f", measures.nec),
+    "cond_poss": ("l", "ff", measures.cond_poss),
+    "cond_nec": ("l", "ff", measures.cond_nec),
+    "related_z": ("t", "ff", indep.related_z),
+    "strong_indep": ("t", "ff", indep.strong_indep),
+    "strong_indep_direct": ("t", "ff", indep.strong_indep_direct),
+    "weak_indep": ("t", "ff", indep.weak_indep),
+    "weak_indep_direct": ("t", "ff", indep.weak_indep_direct),
+}
+
+
 class ScalarOps:
     """The measures and relations a law predicate may use, bound to one
     distribution source: a Dist gives plain ints and bools, a DistEnsemble
-    gives one numpy row per call, via the same library calls.
+    gives one numpy row per call, via the same library calls.  Each entry
+    of ``_LIBRARY_CALLS`` is a method of its name, set on the class below.
 
     ``entails_classically`` reads no distribution, so it returns one bool
     with no distribution axis on either source (on event ids, an array
@@ -163,36 +180,18 @@ class ScalarOps:
         self.top = dist.top
         self.n = dist.vocab.n
 
-    def poss(self, f: Formula) -> int:
-        return measures.poss(self.dist, f)
-
-    def nec(self, f: Formula) -> int:
-        return measures.nec(self.dist, f)
-
-    def cond_poss(self, c: Formula, a: Formula) -> int:
-        return measures.cond_poss(self.dist, c, a)
-
-    def cond_nec(self, c: Formula, a: Formula) -> int:
-        return measures.cond_nec(self.dist, c, a)
-
-    def related_z(self, a: Formula, c: Formula) -> bool:
-        return indep.related_z(self.dist, a, c)
-
-    def strong_indep(self, a: Formula, c: Formula) -> bool:
-        return indep.strong_indep(self.dist, a, c)
-
-    def strong_indep_direct(self, a: Formula, c: Formula) -> bool:
-        return indep.strong_indep_direct(self.dist, a, c)
-
-    def weak_indep(self, a: Formula, c: Formula) -> bool:
-        return indep.weak_indep(self.dist, a, c)
-
-    def weak_indep_direct(self, a: Formula, c: Formula) -> bool:
-        return indep.weak_indep_direct(self.dist, a, c)
-
     def entails_classically(self, a: Formula, b: Formula) -> bool:
         holds = (model_mask(a, self.n) & (full_mask(self.n) ^ model_mask(b, self.n))) == 0
         return holds[..., None] if isinstance(holds, np.ndarray) else holds
+
+
+def _on_source(fn: Callable) -> Callable:
+    """The ScalarOps method that calls fn on its source and formulas."""
+    return lambda self, *formulas: fn(self.dist, *formulas)
+
+
+for _name, (_, _, _fn) in _LIBRARY_CALLS.items():
+    setattr(ScalarOps, _name, _on_source(_fn))
 
 
 class Law(Record):
@@ -299,20 +298,13 @@ class LawReport(Record):
 # c, true, false, ~, & and |), levels ("l": poss, nec, cond_poss, cond_nec,
 # max, min, 0 and top) and truth values ("t": the relation tests, entails,
 # one comparison of two levels, and, or, not, implies and iff).  The tables
-# map each callee, name and operator to its sort and the code it becomes;
-# on truth values implies(p, q) is p <= q and iff(p, q) is p == q.
+# map each callee, name and operator to its sort and the code it becomes
+# (a library call becomes the ScalarOps method of its name); on truth
+# values implies(p, q) is p <= q and iff(p, q) is p == q.
 _SIGNATURES = {
-    "poss": ("l", "f", "o.poss"),
-    "nec": ("l", "f", "o.nec"),
-    "cond_poss": ("l", "ff", "o.cond_poss"),
-    "cond_nec": ("l", "ff", "o.cond_nec"),
+    **{name: (result, args, "o." + name) for name, (result, args, _) in _LIBRARY_CALLS.items()},
     "max": ("l", "ll", "np.maximum"),
     "min": ("l", "ll", "np.minimum"),
-    "related_z": ("t", "ff", "o.related_z"),
-    "strong_indep": ("t", "ff", "o.strong_indep"),
-    "strong_indep_direct": ("t", "ff", "o.strong_indep_direct"),
-    "weak_indep": ("t", "ff", "o.weak_indep"),
-    "weak_indep_direct": ("t", "ff", "o.weak_indep_direct"),
     "entails": ("t", "ff", "o.entails_classically"),
     "implies": ("t", "tt", "np.less_equal"),
     "iff": ("t", "tt", "np.equal"),

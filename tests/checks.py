@@ -1,13 +1,23 @@
-"""Shared non-strategy helpers: feasibility and maximality of a ranking,
-and the benchmark's input generator."""
+"""Shared non-strategy helpers: the formula of an event, feasibility and
+maximality of a ranking, and the benchmark's modules."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+from functools import reduce
 from pathlib import Path
 
-from ordindep import And, Dist, Not, StratifiedRanking, poss
+from ordindep import FALSE, And, Atom, Dist, Formula, Not, Or, StratifiedRanking, poss
+
+
+def event_formula(mask: int, n: int) -> Formula:
+    """A formula whose models are exactly the worlds in mask."""
+
+    def world(w):
+        return reduce(And, [Atom(i) if (w >> i) & 1 else Not(Atom(i)) for i in range(n)])
+
+    return reduce(Or, [world(w) for w in range(1 << n) if (mask >> w) & 1], FALSE)
 
 
 def constraints_satisfied(dist: Dist, rules) -> bool:
@@ -34,10 +44,11 @@ def raisable_worlds(ranking: StratifiedRanking) -> list[tuple[int, int]]:
     return found
 
 
-def bench_gen():
-    """The benchmark's seeded input generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
+def bench_module(name: str):
+    """The benchmark's module ``bench/<name>.py``, loaded from its file:
+    ``gen`` is its seeded input generator, ``spans`` its tracer."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)

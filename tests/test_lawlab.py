@@ -1,3 +1,5 @@
+import ast
+import importlib
 import itertools
 import random
 import re
@@ -9,9 +11,7 @@ from ordindep import (
     CATALOG,
     FALSE,
     TRUE,
-    And,
     Not,
-    Or,
     BudgetError,
     Dist,
     Vocabulary,
@@ -50,6 +50,7 @@ from ordindep.lawlab import (
 )
 
 import law_oracle
+from checks import bench_module, event_formula
 
 # confirmed by machine enumeration over both desk grids; every entry
 # re-verified by the scalar backend on its concrete counterexample
@@ -221,26 +222,32 @@ class TestGeneratorFormulas:
         assert len(set(forms)) == expected
 
 
-# every ScalarOps method with its arity; the tracer in bench/spans.py
-# instruments the same ten names
-OPS_METHODS = {
-    "poss": 1,
-    "nec": 1,
-    "cond_poss": 2,
-    "cond_nec": 2,
-    "related_z": 2,
-    "strong_indep": 2,
-    "strong_indep_direct": 2,
-    "weak_indep": 2,
-    "weak_indep_direct": 2,
-    "entails_classically": 2,
-}
-
 MEASURES = frozenset({"poss", "nec", "cond_poss", "cond_nec"})
 
 
+@pytest.fixture(scope="module")
+def spans():
+    """The benchmark's tracer, which wraps callables by name."""
+    return bench_module("spans")
+
+
+class TestTracerContract:
+    """Every name the tracer wraps is where it looks the name up."""
+
+    def test_functions_resolve_in_their_home_modules(self, spans):
+        for home, attr in spans.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(home), attr, None)), (home, attr)
+
+    def test_scalar_methods_and_poss_mask_are_class_attributes(self, spans):
+        # the tracer swaps each one in the class dict, not on an instance
+        assert spans.SCALAR_METHODS
+        for name in spans.SCALAR_METHODS:
+            assert name in vars(ScalarOps), name
+        assert "poss_mask" in vars(Dist)
+
+
 class TestBackendAgreement:
-    def test_ops_agree_on_every_dist(self):
+    def test_ops_agree_on_every_dist(self, spans):
         # the sweep runs ScalarOps on the whole ensemble, the re-check on
         # one Dist: both must agree entry by entry, and the Dist side must
         # hand back plain ints and bools (CLI text and --jsonl records are
@@ -249,10 +256,11 @@ class TestBackendAgreement:
         vec = ScalarOps(ens)
         scalars = [ScalarOps(ens.dist_at(i)) for i in range(ens.count)]
         forms = generator_formulas(ens.vocab)
-        assert set(OPS_METHODS) == {
+        assert set(spans.SCALAR_METHODS) == {
             name for name in vars(ScalarOps) if not name.startswith("_")
         }
-        for name, arity in OPS_METHODS.items():
+        for name in spans.SCALAR_METHODS:
+            arity = 1 if name in ("poss", "nec") else 2
             want_type = int if name in MEASURES else bool
             for combo in itertools.product(forms, repeat=arity):
                 row = np.broadcast_to(getattr(vec, name)(*combo), (ens.count,))
@@ -509,7 +517,47 @@ def _assert_cells_agree(n, top):
         _assert_grids_agree(ens, law.predicate, oracle, 3, (relation, criterion))
 
 
+# The level sort's two kinds: a sweep that reads levels only up to their
+# order type is exact when no comparison, max or min mixes a poss-like
+# level with a nec-like one.  0 and top go with either.
+LEVEL_KINDS = {"poss": "poss", "cond_poss": "poss", "nec": "nec", "cond_nec": "nec"}
+
+
+def _level_kinds(node: ast.expr) -> set:
+    """The kinds of the measures a level expression is built from."""
+    name = node.func.id if isinstance(node, ast.Call) else None
+    if name in ("max", "min"):
+        return set().union(*map(_level_kinds, node.args))
+    return {LEVEL_KINDS[name]} if name in LEVEL_KINDS else set()
+
+
+def _mixed_levels(statement: str) -> list[str]:
+    """The comparisons and max/min calls of a statement that mix kinds."""
+    mixed = []
+    for node in ast.walk(ast.parse(statement, mode="eval")):
+        if isinstance(node, ast.Compare):
+            levels = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and node.func.id in ("max", "min"):
+            levels = node.args
+        else:
+            continue
+        if len(set().union(*map(_level_kinds, levels))) > 1:
+            mixed.append(ast.unparse(node))
+    return mixed
+
+
 class TestStatements:
+    def test_no_statement_mixes_poss_and_nec_levels(self):
+        for law in (*CATALOG, *CELLS.values()):
+            assert _mixed_levels(law.note) == [], law.law_id
+
+    def test_mixed_levels_are_found(self):
+        assert _mixed_levels("poss(a) == nec(a)") == ["poss(a) == nec(a)"]
+        assert _mixed_levels("max(poss(a), cond_nec(b, a)) == top") == [
+            "max(poss(a), cond_nec(b, a)) == top", "max(poss(a), cond_nec(b, a))"
+        ]
+        assert _mixed_levels("implies(cond_poss(c, a) > 0, min(nec(a), top) < nec(b | c))") == []
+
     def test_catalog_matches_the_oracle_ids_order_and_arity(self):
         assert [(law.law_id, law.arity) for law in CATALOG] == [
             (law.law_id, law.arity) for law in law_oracle.CATALOG
@@ -787,19 +835,6 @@ class TestAxiomOracle:
                 assert relation_axioms_hold(bits, 2, mode) is want, (bits, mode)
 
 
-def _mask_formula(mask, vocab):
-    """A DNF formula whose model mask is exactly the given world set."""
-    f = FALSE
-    for w in range(vocab.world_count):
-        if (mask >> w) & 1:
-            world = TRUE
-            for i in range(vocab.n):
-                x = vocab.atom(i)
-                world = And(world, x if (w >> i) & 1 else Not(x))
-            f = Or(f, world)
-    return f
-
-
 class TestRealizedRelationMatchesDefinition:
     # the probe reads strong dependence off the cell form; the definition
     # goes through cond_nec, so each bit is checked against the other route
@@ -807,7 +842,7 @@ class TestRealizedRelationMatchesDefinition:
     def _check(ens, picks):
         vocab = ens.vocab
         events = 1 << vocab.world_count
-        forms = [_mask_formula(x, vocab) for x in range(events)]
+        forms = [event_formula(x, vocab.n) for x in range(events)]
         assert [model_mask(f, vocab.n) for f in forms] == list(range(events))
         rels = realized_relations(ens)
         assert len(rels) == ens.count

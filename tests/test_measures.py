@@ -30,7 +30,7 @@ from ordindep import (
 from ordindep.lawlab import enumerate_dists
 from ordindep.logic import evaluate, full_mask, model_mask
 
-from checks import bench_gen
+from checks import bench_module, event_formula
 from strategies import dist_with_formulas, dists, vocabs
 
 AC = Vocabulary(("a", "c"))
@@ -252,7 +252,7 @@ class TestPlanesDifferential:
         assert bool(zeros) == zero
         if zeros:
             # evidence whose worlds all sit at level 0: both cells at 0
-            e = _event_formula(sum(1 << w for w in zeros[:3]), n)
+            e = event_formula(sum(1 << w for w in zeros[:3]), n)
             for c in (Atom(0), Not(Atom(0)), TRUE):
                 assert entails(d, e, c) is TriState.IGNORED
 
@@ -391,21 +391,12 @@ def _two_cell_verdict(d: Dist, e: Formula, c: Formula) -> TriState:
     return TriState.IGNORED
 
 
-def _event_formula(mask: int, n: int) -> Formula:
-    """A formula whose models are exactly the worlds in mask."""
-
-    def world(w):
-        return reduce(And, [Atom(i) if (w >> i) & 1 else Not(Atom(i)) for i in range(n)])
-
-    return reduce(Or, [world(w) for w in range(1 << n) if (mask >> w) & 1], FALSE)
-
-
 class TestEntailmentDifferential:
     """entails, which reads one descent of the bit-planes, against the
     two-cell definition."""
 
     def test_every_dist_and_event_pair_at_2_3(self):
-        events = [_event_formula(mask, 2) for mask in range(16)]
+        events = [event_formula(mask, 2) for mask in range(16)]
         assert [model_mask(e, 2) for e in events] == list(range(16))
         seen = set()
         for d in enumerate_dists(2, 3):
@@ -418,7 +409,7 @@ class TestEntailmentDifferential:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pool_queries_on_rank_case_pi_star(self, seed):
-        for case in bench_gen().rank_cases(seed):
+        for case in bench_module("gen").rank_cases(seed):
             doc = parse_kb(case.base.text)
             d = compute_pi_star(doc.injected_base()).pi_star
             vocab = doc.vocab

@@ -35,7 +35,7 @@ from ordindep.ranking import Rule, RuleBase, RuleOrigin, inject_independence
 
 import stratify_oracle
 from stratify_oracle import tolerates
-from checks import bench_gen, constraints_satisfied, raisable_worlds
+from checks import bench_module, constraints_satisfied, event_formula, raisable_worlds
 from strategies import consistent_rule_bases, dist_with_formulas, formulas, rule_bases
 
 
@@ -222,6 +222,39 @@ class TestPiStarDifferential:
     def test_inconsistent_base_has_no_model(self, kb):
         assume(_ranking_or_none(kb) is None)
         assert next(_accepting_levels(kb.vocab, kb.rules, len(kb.rules)), None) is None
+
+    def test_every_two_atom_base_of_one_or_two_rules(self):
+        # a rule reads the worlds only through its two events, so the rules
+        # over the 16 events of two atoms are every rule there, and their
+        # 256 + 32,896 bases of one or two rules (a rule may repeat) are
+        # every such base.  Acceptance only compares levels and 4 worlds
+        # use at most 4 positive ones, so an inconsistent base that no
+        # distribution accepts up to top 4 has none at any top.
+        import numpy as np
+
+        from ordindep.lawlab import DistEnsemble
+
+        vocab = Vocabulary(("a", "b"))
+        events = [event_formula(mask, 2) for mask in range(16)]
+        pairs = list(itertools.product(range(16), repeat=2))
+        rules = [Rule(events[x], events[y]) for x, y in pairs]
+        ensembles = {top: DistEnsemble(2, top) for top in range(1, 5)}
+        # accepts[top][i, k]: the ensemble's row k accepts rule i, read off its event table
+        accepts = {top: np.array([ens.P[x & y] > ens.P[x & ~y] for x, y in pairs]) for top, ens in ensembles.items()}
+        bases = itertools.chain(((i,) for i in range(len(rules))), itertools.combinations_with_replacement(range(len(rules)), 2))
+        consistent = inconsistent = 0
+        for base in bases:
+            ranking = _ranking_or_none(RuleBase(vocab, tuple(rules[i] for i in base)))
+            if ranking is None:
+                inconsistent += 1
+                for top, accepted in accepts.items():
+                    assert not accepted[list(base)].all(axis=0).any(), (base, top)
+                continue
+            consistent += 1
+            top = ranking.pi_star.top
+            rows = accepts[top][list(base)].all(axis=0)
+            assert tuple(ensembles[top].levels[rows].max(axis=0).tolist()) == ranking.pi_star.levels, base
+        assert (consistent, inconsistent) == (14_974, 18_178)
 
 
 def _strata_or_residual(stratify_fn, kb):
@@ -569,7 +602,7 @@ class TestProofVerdicts:
         # the consistent corpus bases and the rank-synthetic bases of seeds
         # 1 and 2, each with its indep: rules, as the query command builds it
         docs = [parse_kb((data_dir / f"{name}.kb").read_text()) for name in ("penguin", "penguin_fixed", "nolegs")]
-        docs += [parse_kb(case.base.text) for seed in (1, 2) for case in bench_gen().rank_cases(seed)]
+        docs += [parse_kb(case.base.text) for seed in (1, 2) for case in bench_module("gen").rank_cases(seed)]
         assert len(docs) == 3 + 16
         rng = random.Random(0)
         seen = set()
