@@ -56,8 +56,8 @@ def _print_ranking(doc: ParsedDocument, ranking: StratifiedRanking) -> None:
             print(_rule_line(ranking.rules[i], vocab))
     print()
     print(f"pi* (top = {ranking.pi_star.top}):")
-    for w in range(vocab.world_count):
-        print(f"{vocab.format_world(w)}: {ranking.pi_star.levels[w]}")
+    for w, level in enumerate(ranking.pi_star.levels):
+        print(f"{vocab.format_world(w)}: {level}")
     for d in doc.directives:
         ok = cond_weak_indep(ranking.pi_star, d.conclusion, d.context, d.extra)
         print(f"indep {format_directive(d, vocab)}: {'satisfied' if ok else 'NOT satisfied'}")

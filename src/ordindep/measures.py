@@ -17,6 +17,12 @@ one level per enumerated distribution as a numpy row.  ``entails`` is the
 one measure that needs a single ``Dist``: it branches to a ``TriState``,
 which it reads off the evidence worlds at the highest level the evidence
 reaches, found by one descent of the ``Dist``'s bit-planes.
+
+A ``Dist`` is built either from one level per world or, by
+``dist_from_bands``, from disjoint bands of worlds that share a level.
+Bands OR straight into the bit-planes, so a band-built ``Dist`` answers
+every measure without a per-world pass; it writes its per-world
+``levels`` only when something first reads them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import enum
 import operator
 
-from .logic import Formula, Not, Record, Vocabulary, model_mask
+from .logic import Formula, Not, Record, Vocabulary, full_mask, mask_worlds, model_mask
 
 
 class TriState(enum.Enum):
@@ -51,11 +57,17 @@ class Dist(Record):
     and the levels in use, and ``_ranked[code]`` is that level; plane j,
     kept highest first with its bit ``1 << j``, is the mask of the worlds
     whose code has bit j set.  With L ranked levels there are
-    ``(L - 1).bit_length()`` planes.  Ranks and planes are derived from
-    ``levels`` and take no part in equality or hashing.
+    ``(L - 1).bit_length()`` planes.  Ranks and planes are derived and take
+    no part in equality or hashing.
 
     A level or top is an integer when ``operator.index`` takes it; any
     other value is rejected with the world it sits at.
+
+    ``dist_from_bands`` builds the ranks and planes from level bands and
+    leaves ``levels`` out until its first read, which writes each band's
+    worlds into the tuple, stores it and returns it; every later read
+    returns that same tuple.  ``levels`` is still a field: equality,
+    hashing, ``repr``, pickling and copying read it, and so derive it.
     """
 
     vocab: Vocabulary
@@ -107,6 +119,19 @@ class Dist(Record):
         object.__setattr__(self, "_ranked", ranked)
         object.__setattr__(self, "_planes", tuple(planes))
 
+    def __getattr__(self, name):
+        # reached only when the instance lacks the attribute: the levels of
+        # a band-built Dist before their first read, or a true miss
+        bands = self.__dict__.get("_bands")
+        if name != "levels" or bands is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        levels = [self.top] * self.vocab.world_count
+        for level, band in bands:
+            for w in mask_worlds(band):
+                levels[w] = level
+        # stored whole: racing first reads may each build it, and all get the one stored
+        return self.__dict__.setdefault("levels", tuple(levels))
+
     def _peak(self, mask: int) -> tuple[int, int]:
         """The highest code over a world bitmask, and the mask's worlds at it.
 
@@ -132,6 +157,42 @@ class Dist(Record):
 
 
 _BYTES = bytes(range(256))
+
+
+def dist_from_bands(vocab: Vocabulary, top: int, bands) -> Dist:
+    """The distribution with each band's worlds at its level, the rest at top.
+
+    ``bands`` holds ``(level, mask)`` pairs with every level in
+    0..top - 1 and pairwise disjoint world masks; a level may repeat and a
+    mask may be empty.  Some world must lie in no band.  Each plane is the
+    OR of the bands whose level's code has its bit, and ``levels`` waits
+    for its first read (see ``Dist``).
+    """
+    if top < 1:
+        raise ValueError(f"top level must be at least 1, got {top}")
+    at: dict[int, int] = {}
+    covered = 0
+    for level, mask in bands:
+        if not 0 <= level < top:
+            raise ValueError(f"band level {level} outside 0..{top - 1}")
+        if mask:
+            at[level] = at.get(level, 0) | mask
+            covered |= mask
+    unbanded = full_mask(vocab.n) ^ covered
+    if not unbanded:
+        raise ValueError("distribution is not normalized: no world at the top level")
+    ranked = tuple(sorted({0, top, *at}))
+    by_code = [at.get(lv, 0) for lv in ranked[:-1]] + [unbanded]
+    planes = []
+    for j in reversed(range((len(ranked) - 1).bit_length())):
+        plane = 0
+        for code, mask in enumerate(by_code):
+            if code >> j & 1:
+                plane |= mask
+        planes.append((1 << j, plane))
+    d = object.__new__(Dist)
+    d.__dict__.update(vocab=vocab, top=top, _ranked=ranked, _planes=tuple(planes), _bands=tuple(at.items()))
+    return d
 
 
 def _bad_level(levels: tuple, top: int) -> ValueError:

@@ -479,6 +479,6 @@ def parse_dist(text: str) -> Dist:
 
 def format_dist(d: Dist) -> str:
     lines = [f"atoms: {' '.join(d.vocab.atoms)}", f"top: {d.top}"]
-    for w in range(d.vocab.world_count):
-        lines.append(f"{d.vocab.format_world(w)}: {d.levels[w]}")
+    for w, level in enumerate(d.levels):
+        lines.append(f"{d.vocab.format_world(w)}: {level}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,10 @@ one union of the remaining rules' violations.
 The induced distribution puts every world as high as the strata allow:
 top for worlds violating nothing, and one step below the top stratum it
 violates otherwise.  Each rule then holds with necessity equal to its
-stratum index plus one, which is reported as the rule's priority.
+stratum index plus one, which is reported as the rule's priority.  The
+distribution is built from one band of worlds per stratum, straight into
+the bit-planes that queries read; its per-world levels are written only
+when something reads them, such as ``rank``'s listing of every world.
 
 A ranking is asked many queries of its one distribution, and answers a
 repeated pair from its own memo: rows keyed by the hash int cached on
@@ -37,8 +40,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .logic import And, Formula, Record, Vocabulary, full_mask, mask_worlds, model_mask
-from .measures import Dist, TriState, entails
+from .logic import And, Formula, Record, Vocabulary, full_mask, model_mask
+from .measures import Dist, TriState, dist_from_bands, entails
 
 
 class RuleOrigin(enum.Enum):
@@ -183,9 +186,13 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
 
     With m strata, every world sits at the top level m unless it violates
     a rule, in which case it sits at level m - 1 - s, where s is the
-    highest stratum (counted from 0) holding a rule it violates.  The
-    result is checked to actually accept every rule; a failure there
-    means the construction itself is broken.
+    highest stratum (counted from 0) holding a rule it violates.  So the
+    strata, walked from the top down, give the levels as bands: stratum
+    s's band is its violations outside those of the strata above it, and
+    ``dist_from_bands`` ORs the bands into the distribution's bit-planes
+    with no per-world pass; the per-world ``levels`` wait for a first
+    read.  The result is checked to actually accept every rule; a failure
+    there means the construction itself is broken.
     """
     base = kb.deduped()
     strata = stratify(base)
@@ -196,15 +203,16 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
     viol = [_viol_mask(r, n) for r in base.rules]
 
     priorities = [0] * len(base.rules)
-    levels = [m] * vocab.world_count
-    for s, members in enumerate(strata):
+    bands = []
+    later = 0  # the union of the violations of the strata above s
+    for s in reversed(range(m)):
         violated = 0
-        for i in members:
+        for i in strata[s]:
             priorities[i] = s + 1
             violated |= viol[i]
-        for w in mask_worlds(violated):  # later strata overwrite earlier ones
-            levels[w] = m - 1 - s
-    pi_star = Dist(vocab, m, levels)
+        bands.append((m - 1 - s, violated & ~later))
+        later |= violated
+    pi_star = dist_from_bands(vocab, m, bands)
 
     for i in range(len(base.rules)):
         if pi_star.poss_mask(verif[i]) <= pi_star.poss_mask(viol[i]):

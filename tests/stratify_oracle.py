@@ -1,20 +1,28 @@
-"""The tolerance stratification that one violation union per round replaced:
-each round asks ``tolerates(pool, rule)`` of every remaining rule, and each
-call narrows the rule's verification mask by the complement of every pool
-rule's violation mask, built afresh.
+"""The tolerance stratification that one violation union per round replaced,
+and the world-by-world pi* that level bands replaced.
 
-A reference implementation for ``ordindep.ranking.stratify``, which builds
-each rule's masks once and tests every remaining rule against one union of
-the remaining violations per round.  ``tolerates`` and ``stratify`` are
-kept here unchanged, so a test can require both to give equal strata, or
-to raise ConsistencyError with the same residual rules in the same order.
+``stratify``: each round asks ``tolerates(pool, rule)`` of every remaining
+rule, and each call narrows the rule's verification mask by the complement
+of every pool rule's violation mask, built afresh.  It is a reference
+implementation for ``ordindep.ranking.stratify``, which builds each rule's
+masks once and tests every remaining rule against one union of the
+remaining violations per round.  ``tolerates`` and ``stratify`` are kept
+here unchanged, so a test can require both to give equal strata, or to
+raise ConsistencyError with the same residual rules in the same order.
 The library has no ``tolerates`` of its own; the tests of tolerance ask
 this one.
+
+``pi_star``: the strata from this ``stratify``, and one level per world,
+written stratum by stratum through ``mask_worlds`` so that a later stratum
+overwrites an earlier one, then handed to ``Dist(vocab, m, levels)``.  It
+is a reference for ``ordindep.ranking.compute_pi_star``, which ORs one
+band per stratum into the distribution's bit-planes.
 """
 
 from __future__ import annotations
 
-from ordindep.logic import Vocabulary
+from ordindep.logic import Vocabulary, mask_worlds
+from ordindep.measures import Dist
 from ordindep.ranking import ConsistencyError, Rule, RuleBase, _verif_mask, _viol_mask
 
 
@@ -53,3 +61,27 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
         strata.append(stratum)
         remaining = [i for i in remaining if i not in stratum]
     return tuple(strata)
+
+
+def pi_star(kb: RuleBase) -> tuple[tuple[frozenset[int], ...], Dist, tuple[int, ...]]:
+    """Strata, pi* and priorities of the deduped base, pi* built world by world.
+
+    Raises ConsistencyError and ValueError as ``stratify`` does.
+    """
+    base = kb.deduped()
+    strata = stratify(base)
+    vocab = base.vocab
+    n = vocab.n
+    m = len(strata)
+    viol = [_viol_mask(r, n) for r in base.rules]
+
+    priorities = [0] * len(base.rules)
+    levels = [m] * vocab.world_count
+    for s, members in enumerate(strata):
+        violated = 0
+        for i in members:
+            priorities[i] = s + 1
+            violated |= viol[i]
+        for w in mask_worlds(violated):  # later strata overwrite earlier ones
+            levels[w] = m - 1 - s
+    return strata, Dist(vocab, m, levels), tuple(priorities)

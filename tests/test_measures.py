@@ -1,5 +1,9 @@
+import copy
 import functools
+import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from functools import reduce
 
@@ -21,15 +25,19 @@ from ordindep import (
     compute_pi_star,
     cond_nec,
     cond_poss,
+    cond_weak_indep,
     entails,
     nec,
     parse_formula,
     parse_kb,
     poss,
 )
+from ordindep import measures
 from ordindep.lawlab import enumerate_dists
-from ordindep.logic import evaluate, full_mask, model_mask
+from ordindep.logic import evaluate, full_mask, mask_worlds, model_mask
+from ordindep.measures import dist_from_bands
 
+import stratify_oracle
 from checks import bench_module, event_formula
 from strategies import dist_with_formulas, dists, vocabs
 
@@ -171,6 +179,119 @@ class TestPossibilityOracle:
         assert hash(twin) == hash(WORKED)
         assert "_ranked" not in repr(WORKED) and "_planes" not in repr(WORKED)
         assert Dist(AC, 3, (1, 2, 1, 3)) != WORKED
+
+
+def _banded_worked() -> Dist:
+    """WORKED built from its bands: !a!c and a!c at 1, !ac at 2, ac at the top."""
+    return dist_from_bands(AC, 3, [(1, 0b0011), (2, 0b0100)])
+
+
+class TestBandBuiltDist:
+    """The record contract of a Dist that dist_from_bands builds."""
+
+    def test_equals_hashes_and_prints_like_its_levels(self):
+        d = _banded_worked()
+        assert "levels" not in vars(d)
+        assert d == WORKED and WORKED == _banded_worked()
+        assert hash(_banded_worked()) == hash(WORKED)
+        assert repr(_banded_worked()) == repr(WORKED)
+        assert (d._ranked, d._planes) == (WORKED._ranked, WORKED._planes)
+        assert _banded_worked() != Dist(AC, 3, (1, 2, 1, 3))
+
+    @pytest.mark.parametrize("copier", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copies_rebuild_an_equal_dist(self, copier):
+        d = _banded_worked()
+        twin = copier(d)
+        assert type(twin) is Dist and twin == d and hash(twin) == hash(d)
+        assert (twin._ranked, twin._planes) == (d._ranked, d._planes)
+        assert "_bands" not in vars(twin)  # rebuilt from its levels by the constructor
+
+    def test_nothing_can_be_set_or_deleted(self):
+        d = _banded_worked()
+        for name in ("_ranked", "_planes", "_bands", "levels", "top"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+        assert "levels" not in vars(d) and d == WORKED
+
+    def test_a_miss_is_an_attribute_error(self):
+        d = _banded_worked()
+        assert not hasattr(d, "bogus") and not hasattr(WORKED, "_bands")
+        with pytest.raises(AttributeError, match="'Dist' object has no attribute 'bogus'"):
+            d.bogus
+
+    def test_a_ranking_answers_without_deriving_levels(self, data_dir, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("levels derived")
+
+        doc = parse_kb((data_dir / "penguin_fixed.kb").read_text())
+        twin = stratify_oracle.pi_star(doc.injected_base())[1]
+        monkeypatch.setattr(measures, "mask_worlds", refuse)
+        ranking = compute_pi_star(doc.injected_base())
+        d = ranking.pi_star
+        p, b, l = (parse_formula(t, doc.vocab) for t in ("p", "b", "l"))
+        assert ranking.query(p, l) is TriState.ACCEPTED and ranking.query(p, l) is TriState.ACCEPTED
+        assert entails(d, And(p, b), l) is entails(twin, And(p, b), l)
+        for measure in (cond_poss, cond_nec):
+            assert measure(d, l, p) == measure(twin, l, p) and measure(d, Not(l), b) == measure(twin, Not(l), b)
+        assert [poss(d, f) for f in (p, b, l)] == [poss(twin, f) for f in (p, b, l)]
+        assert [nec(d, f) for f in (p, b, l)] == [nec(twin, f) for f in (p, b, l)]
+        assert doc.directives and all(cond_weak_indep(d, x.conclusion, x.context, x.extra) for x in doc.directives)
+        assert "levels" not in vars(d)
+
+    def test_a_first_read_derives_levels_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measures, "mask_worlds", lambda mask: calls.append(mask) or mask_worlds(mask))
+        d = _banded_worked()
+        first = d.levels
+        assert first == (1, 1, 2, 3) and calls == [0b0011, 0b0100]
+        assert d.levels is first and vars(d)["levels"] is first
+        assert d == WORKED and hash(d) == hash(WORKED) and d.is_total_order() is False
+        assert calls == [0b0011, 0b0100]
+
+    def test_racing_first_reads_see_one_tuple(self):
+        kb = parse_kb(_chain_base(12)).base()
+        want = stratify_oracle.pi_star(kb)[1].levels
+        d = compute_pi_star(kb).pi_star
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(d.levels)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 and all(levels is d.levels for levels in seen) and d.levels == want
+
+    def test_bands_may_repeat_a_level_or_be_empty(self):
+        d = dist_from_bands(AC, 3, [(1, 0b0001), (2, 0), (1, 0b0010), (2, 0b0100)])
+        assert d == WORKED and (d._ranked, d._planes) == (WORKED._ranked, WORKED._planes)
+        flat = dist_from_bands(AC, 2, [])
+        assert flat == Dist(AC, 2, (2, 2, 2, 2)) and flat._planes == Dist(AC, 2, (2,) * 4)._planes
+        low = dist_from_bands(AC, 5, [(0, 0b1000), (0, 0b0001)])
+        assert low == Dist(AC, 5, (0, 5, 5, 0)) and low._ranked == (0, 5)
+
+    def test_bad_bands(self):
+        with pytest.raises(ValueError, match="top level must be at least 1, got 0"):
+            dist_from_bands(AC, 0, [])
+        with pytest.raises(ValueError, match="band level 3 outside 0..2"):
+            dist_from_bands(AC, 3, [(3, 0b0001)])
+        with pytest.raises(ValueError, match="band level -1 outside 0..2"):
+            dist_from_bands(AC, 3, [(-1, 0b0001)])
+        with pytest.raises(ValueError, match="not normalized"):
+            dist_from_bands(AC, 3, [(1, 0b0011), (2, 0b1100)])
 
 
 def _levels_using(values, n: int, rng: random.Random) -> tuple:
