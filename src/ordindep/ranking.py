@@ -5,16 +5,18 @@ of rules when some world verifies it (satisfies A and B) outside the
 union of the set's violations (the worlds satisfying some antecedent and
 not its consequent).  Repeatedly peeling off the tolerated rules splits a
 consistent base into strata of increasing specificity; a base where the
-peeling gets stuck is inconsistent.  Each rule's verification and
-violation masks are built once per stratification, and each round takes
-one union of the remaining rules' violations.
+peeling gets stuck is inconsistent.  One peel serves both ``stratify``
+and ``compute_pi_star``: it builds each rule's verification and
+violation masks once, and each round takes one union of the remaining
+rules' violations.
 
 The induced distribution puts every world as high as the strata allow:
 top for worlds violating nothing, and one step below the top stratum it
 violates otherwise.  Each rule then holds with necessity equal to its
 stratum index plus one, which is reported as the rule's priority.  The
-distribution is built from one band of worlds per stratum, straight into
-the bit-planes that queries read; its per-world levels are written only
+distribution is built from one band of worlds per stratum, the
+difference of two consecutive rounds' unions, straight into the
+bit-planes that queries read; its per-world levels are written only
 when something reads them, such as ``rank``'s listing of every world.
 
 A ranking is asked many queries of its one distribution, and answers a
@@ -85,32 +87,28 @@ class ConsistencyError(Exception):
         super().__init__(f"inconsistent rule base: {len(residual)} rule(s) tolerate no order")
 
 
-def _verif_mask(rule: Rule, n: int) -> int:
-    return model_mask(rule.antecedent, n) & model_mask(rule.consequent, n)
+def _rule_masks(rule: Rule, n: int) -> tuple[int, int]:
+    """The rule's verification mask, and its violation mask: the antecedent's other worlds."""
+    antecedent = model_mask(rule.antecedent, n)
+    verif = antecedent & model_mask(rule.consequent, n)
+    return verif, antecedent ^ verif
 
 
-def _viol_mask(rule: Rule, n: int) -> int:
-    return model_mask(rule.antecedent, n) & (full_mask(n) ^ model_mask(rule.consequent, n))
+def _peel(kb: RuleBase) -> tuple[list[frozenset[int]], list[int]]:
+    """``stratify``'s strata, and each round's union of the remaining rules' violations.
 
-
-def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
-    """Partition rule indices into tolerance strata, most general first.
-
-    A round's stratum is every remaining rule that verifies outside the
-    union of the remaining rules' violations; each rule's masks are built
-    once, so a round costs one union and its complement, then one AND per
-    remaining rule.
-    Works on the base as given (callers wanting dedup do it beforehand).
-    Raises ConsistencyError when the remaining rules tolerate none of
-    their own, and ValueError on an empty base.
+    A round's stratum is every remaining rule that verifies outside that
+    union.  Each rule's masks are built once, so a round costs one union
+    and its complement, then one AND per remaining rule.  The rules
+    remaining at round s are strata s and later, so the union is theirs.
     """
     if not kb.rules:
         raise ValueError("rule base has no rules")
     n = kb.vocab.n
-    verif = [_verif_mask(r, n) for r in kb.rules]
-    viol = [_viol_mask(r, n) for r in kb.rules]
+    verif, viol = zip(*[_rule_masks(r, n) for r in kb.rules])
     remaining = list(range(len(kb.rules)))
     strata: list[frozenset[int]] = []
+    unions: list[int] = []
     while remaining:
         broken = 0
         for i in remaining:
@@ -121,8 +119,19 @@ def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
             raise ConsistencyError(tuple(kb.rules[i] for i in remaining), kb.vocab)
         stratum = frozenset(tolerated)
         strata.append(stratum)
+        unions.append(broken)
         remaining = [i for i in remaining if i not in stratum]
-    return tuple(strata)
+    return strata, unions
+
+
+def stratify(kb: RuleBase) -> tuple[frozenset[int], ...]:
+    """Partition rule indices into tolerance strata, most general first.
+
+    Works on the base as given (callers wanting dedup do it beforehand).
+    Raises ConsistencyError when the remaining rules tolerate none of
+    their own, and ValueError on an empty base.
+    """
+    return tuple(_peel(kb)[0])
 
 
 # The most verdicts a ranking's memo holds (see the module docstring).
@@ -186,38 +195,26 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
 
     With m strata, every world sits at the top level m unless it violates
     a rule, in which case it sits at level m - 1 - s, where s is the
-    highest stratum (counted from 0) holding a rule it violates.  So the
-    strata, walked from the top down, give the levels as bands: stratum
-    s's band is its violations outside those of the strata above it, and
-    ``dist_from_bands`` ORs the bands into the distribution's bit-planes
-    with no per-world pass; the per-world ``levels`` wait for a first
-    read.  The result is checked to actually accept every rule; a failure
-    there means the construction itself is broken.
+    highest stratum (counted from 0) holding a rule it violates.  So
+    stratum s's band is the peel's round-s union of violations minus its
+    round-s + 1 union, and ``dist_from_bands`` ORs the bands into the
+    bit-planes with no per-world pass; the per-world ``levels`` wait for a
+    first read.  One ``entails`` per rule checks that the result accepts
+    it; a failure there means the construction itself is broken.
     """
     base = kb.deduped()
-    strata = stratify(base)
-    vocab = base.vocab
-    n = vocab.n
+    strata, unions = _peel(base)
     m = len(strata)
-    verif = [_verif_mask(r, n) for r in base.rules]
-    viol = [_viol_mask(r, n) for r in base.rules]
-
+    unions.append(0)
+    pi_star = dist_from_bands(base.vocab, m, [(m - 1 - s, unions[s] ^ unions[s + 1]) for s in range(m)])
     priorities = [0] * len(base.rules)
-    bands = []
-    later = 0  # the union of the violations of the strata above s
-    for s in reversed(range(m)):
-        violated = 0
-        for i in strata[s]:
+    for s, members in enumerate(strata):
+        for i in members:
             priorities[i] = s + 1
-            violated |= viol[i]
-        bands.append((m - 1 - s, violated & ~later))
-        later |= violated
-    pi_star = dist_from_bands(vocab, m, bands)
-
-    for i in range(len(base.rules)):
-        if pi_star.poss_mask(verif[i]) <= pi_star.poss_mask(viol[i]):
+    for i, r in enumerate(base.rules):
+        if entails(pi_star, r.antecedent, r.consequent) is not TriState.ACCEPTED:
             raise RuntimeError(f"ranking failed to accept rule {i}; stratification is broken")
-    return StratifiedRanking(vocab, base.rules, strata, pi_star, priorities)
+    return StratifiedRanking(base.vocab, base.rules, tuple(strata), pi_star, priorities)
 
 
 def inject_independence(kb: RuleBase, context: Formula, extra: Formula, conclusion: Formula) -> RuleBase:

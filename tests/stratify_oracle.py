@@ -10,7 +10,9 @@ remaining violations per round.  ``tolerates`` and ``stratify`` are kept
 here unchanged, so a test can require both to give equal strata, or to
 raise ConsistencyError with the same residual rules in the same order.
 The library has no ``tolerates`` of its own; the tests of tolerance ask
-this one.
+this one.  The oracle builds its verification and violation masks with
+its own ``_verif_mask`` and ``_viol_mask`` from ``model_mask``, so a
+wrong mask in the library cannot agree with it by sharing the code.
 
 ``pi_star``: the strata from this ``stratify``, and one level per world,
 written stratum by stratum through ``mask_worlds`` so that a later stratum
@@ -21,9 +23,19 @@ band per stratum into the distribution's bit-planes.
 
 from __future__ import annotations
 
-from ordindep.logic import Vocabulary, mask_worlds
+from ordindep.logic import Vocabulary, mask_worlds, model_mask
 from ordindep.measures import Dist
-from ordindep.ranking import ConsistencyError, Rule, RuleBase, _verif_mask, _viol_mask
+from ordindep.ranking import ConsistencyError, Rule, RuleBase
+
+
+def _verif_mask(rule: Rule, n: int) -> int:
+    """The worlds satisfying the rule's antecedent and its consequent."""
+    return model_mask(rule.antecedent, n) & model_mask(rule.consequent, n)
+
+
+def _viol_mask(rule: Rule, n: int) -> int:
+    """The worlds satisfying the rule's antecedent and not its consequent."""
+    return model_mask(rule.antecedent, n) & ~model_mask(rule.consequent, n)
 
 
 def tolerates(others: tuple[Rule, ...], rule: Rule, vocab: Vocabulary) -> bool:

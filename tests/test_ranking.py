@@ -284,14 +284,16 @@ class TestStratifyOracle:
         assert _strata_or_residual(stratify, base) == _strata_or_residual(stratify_oracle.stratify, base)
 
     def test_mask_builds_linear_in_rules(self, data_dir, monkeypatch):
-        # the per-rule tolerates loop built 91 violation masks here
+        # the per-rule tolerates loop built 91 violation masks here, and a
+        # build that stratified, then built the masks again, built 16
         _, base = load(data_dir, "nolegs.kb", injected=True)
+        base = base.extended(base.rules[0])  # a repeat, which dedup drops
         built = []
-        viol_mask = ranking_module._viol_mask
-        monkeypatch.setattr(ranking_module, "_viol_mask", lambda rule, n: built.append(rule) or viol_mask(rule, n))
+        rule_masks = ranking_module._rule_masks
+        monkeypatch.setattr(ranking_module, "_rule_masks", lambda rule, n: built.append(rule) or rule_masks(rule, n))
         ranking = compute_pi_star(base)
-        assert (len(ranking.rules), len(ranking.strata)) == (8, 2)
-        assert len(built) <= 2 * len(ranking.rules)
+        assert (len(base.rules), len(ranking.rules), len(ranking.strata)) == (9, 8, 2)
+        assert built == list(ranking.rules)
 
 
 def _oracle_case(data_dir, case: str) -> RuleBase:
@@ -336,6 +338,25 @@ class TestPiStarOracle:
         assert got.levels == want.levels
         assert got == want and hash(got) == hash(want)
         assert (ranking.strata, ranking.priorities) == (strata, priorities)
+
+
+class TestAcceptanceCheck:
+    """compute_pi_star checks that the pi* it built accepts every rule."""
+
+    @pytest.mark.parametrize("case", ["corpus/penguin.kb", "rank/1/0"])
+    def test_a_band_one_level_off_raises(self, data_dir, case, monkeypatch):
+        kb = _oracle_case(data_dir, case)
+        assert len(compute_pi_star(kb).strata) >= 2
+        from_bands = ranking_module.dist_from_bands
+
+        def lowest_band_raised(vocab, top, bands):
+            (level, mask), *rest = sorted(bands, key=lambda band: band[0])
+            assert level == 0 and mask
+            return from_bands(vocab, top, [(1, mask), *rest])
+
+        monkeypatch.setattr(ranking_module, "dist_from_bands", lowest_band_raised)
+        with pytest.raises(RuntimeError, match=r"^ranking failed to accept rule \d+; stratification is broken$"):
+            compute_pi_star(kb)
 
 
 class TestQueries:
@@ -444,7 +465,8 @@ class TestQueryMemo:
 
     def test_a_repeat_does_not_call_entails(self, data_dir, monkeypatch):
         doc, base = load(data_dir, "penguin.kb")
-        ranking = compute_pi_star(base)
+        # both built before entails is counted, since each build asks it once per rule
+        ranking, other = compute_pi_star(base), compute_pi_star(base)
         calls = []
 
         def counted(*args):
@@ -466,7 +488,7 @@ class TestQueryMemo:
         assert ranking.query(f, p) is TriState.REJECTED  # flyers are normally no penguins
         assert len(calls) == 3
         # another ranking keeps a memo of its own
-        assert compute_pi_star(base).query(p, f) is TriState.REJECTED
+        assert other.query(p, f) is TriState.REJECTED
         assert len(calls) == 4
 
     def test_holds_the_latest_256_answers(self, data_dir):
