@@ -3,7 +3,8 @@
 Subcommands: rank, query, dist, indep, check, table.  Exit status is 0 on
 success, 1 when a rule base is inconsistent, and 2 on any other error: a
 parse or usage error, an unreadable file, a lab grid out of scope or a
-sweep over its budget.
+sweep over its budget.  A reader that closes stdout early, as ``head``
+does, ends any command quietly: it writes nothing more and exits 0.
 All output is deterministic for fixed inputs and flags.
 
 A well-formed rank, query, dist or indep command is read without argparse,
@@ -13,6 +14,7 @@ reads every other argv and so writes all usage, help and error text.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -183,7 +185,16 @@ def main(argv=None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         for rule in e.residual:

@@ -86,17 +86,9 @@ class Dist(Record):
         if len(levels) != count:
             raise ValueError(f"need {count} levels for {self.vocab.n} atoms, got {len(levels)}")
         try:
-            raw = bytes(levels)  # one byte per world while every level is an integer in 0..255
-        except (TypeError, ValueError):
-            raw = None
-        if raw is not None:
-            # the byte values raw lacks, then the ones it has, ascending
-            used = _BYTES.translate(None, _BYTES.translate(None, raw))
-        else:
-            try:
-                used = sorted(set(map(operator.index, levels)))
-            except TypeError:
-                used = None
+            used = sorted(set(map(operator.index, levels)))
+        except TypeError:
+            used = None
         if used is None or used[0] < 0 or used[-1] > top:
             raise _bad_level(levels, top)
         if used[-1] != top:
@@ -105,12 +97,9 @@ class Dist(Record):
         width = (len(ranked) - 1).bit_length()
         # streams[k] holds byte k of every world's code, world 0 last; wide
         # codes are split by C-level maps, code >> 8k & 0xFF
-        if raw is not None:
-            streams = [raw.translate(bytes.maketrans(bytes(ranked), _BYTES[: len(ranked)]))[::-1]]
-        else:
-            rank = dict(zip(ranked, range(len(ranked))))
-            codes = list(map(rank.__getitem__, reversed(levels)))
-            streams = [bytes(map((0xFF).__and__, map(shift.__rrshift__, codes))) for shift in range(0, width, 8)]
+        rank = dict(zip(ranked, range(len(ranked))))
+        codes = list(map(rank.__getitem__, map(operator.index, reversed(levels))))
+        streams = [bytes(map((0xFF).__and__, map(shift.__rrshift__, codes))) for shift in range(0, width, 8)]
         planes = []
         for j in reversed(range(width)):
             b = 1 << (j & 7)
@@ -154,9 +143,6 @@ class Dist(Record):
     def is_total_order(self) -> bool:
         """True when no two worlds share a level."""
         return len(set(self.levels)) == len(self.levels)
-
-
-_BYTES = bytes(range(256))
 
 
 def dist_from_bands(vocab: Vocabulary, top: int, bands) -> Dist:

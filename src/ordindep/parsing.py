@@ -37,8 +37,9 @@ whichever table holds them, to stay within that; a formula larger than
 the whole bound is not stored.  So the masks it can pin come to at most
 2,048 * 2**n / 8 bytes for n atoms: 4 MB at 14 atoms, 16 MB at 16.  A
 failed parse is never stored, so every error is raised afresh.
-``parse_kb`` and ``parse_dist`` neither read nor fill the memo: a
-document's texts are parsed once.
+``parse_kb`` and ``parse_dist`` neither read nor fill the memo: each
+call parses its document once, a text that repeats in it included, and
+storing a document's texts would evict the query texts the memo serves.
 """
 
 from __future__ import annotations

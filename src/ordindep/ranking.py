@@ -65,14 +65,10 @@ class RuleBase(Record):
 
     def deduped(self) -> "RuleBase":
         """Drop structural repeats of (antecedent, consequent), keeping the first."""
-        seen = set()
-        kept = []
+        kept = {}
         for r in self.rules:
-            key = (r.antecedent, r.consequent)
-            if key not in seen:
-                seen.add(key)
-                kept.append(r)
-        return RuleBase(self.vocab, kept)
+            kept.setdefault((r.antecedent, r.consequent), r)
+        return RuleBase(self.vocab, kept.values())
 
     def extended(self, rule: Rule) -> "RuleBase":
         return RuleBase(self.vocab, self.rules + (rule,))

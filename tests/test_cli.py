@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,11 +455,31 @@ def test_byte_order_mark_is_not_text(data_dir, tmp_path, capsys, command, name, 
     assert (main([command, str(marked), *extra]), capsys.readouterr()) == want
 
 
+def _src_env() -> dict:
+    """The environment with the sources in this checkout first on the path."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter on the sources in this checkout, from its root."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=_src_env(), capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["rank", "dist"])
+def test_closed_stdout_ends_quietly(tmp_path, command):
+    # `ordindep rank base.kb | head -n 1`: the reader closes the pipe while
+    # most of the 16,384 world lines are still to come
+    kb = tmp_path / "chain14.kb"
+    lines = ["atoms: " + " ".join(f"x{i:02d}" for i in range(14))]
+    lines += [f"rule: x{i:02d} |~ x{i + 1:02d}" for i in range(13)]
+    kb.write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, "-m", "ordindep", command, str(kb)]
+    with subprocess.Popen(argv, cwd=REPO, env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
 
 
 NO_NUMPY = """
@@ -561,3 +582,20 @@ def test_axiom_probe_runs():
     # the two-atom counts over every relation one pair from a realized one
     assert "printed: 38144 neighbor relations, 14514 satisfy the axioms, 0 realized" in proc.stdout
     assert "schema: 38144 neighbor relations, 8360 satisfy the axioms, 0 realized" in proc.stdout
+
+
+def test_readme_quick_start_runs():
+    # README's Quick start block, run from the repository root with each
+    # commented result asserted
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n\n```python\n(.*?)^```$", text, re.S | re.M)[1]
+    lines = block.splitlines()
+    want = []
+    for i, line in enumerate(lines):
+        m = re.match(r"([^#\s].*?)\s+#\s*(\([^()]*\)|'[^']*')", line)
+        if m:
+            want.append(m[2])
+            lines[i] = f"assert ({m[1]}) == {m[2]}, {m[1]!r}"
+    assert want == ["(True, True, True)", "(3, 1)", "'Ignored'", "'Accepted'"]
+    proc = _python("-c", "\n".join(lines))
+    assert proc.returncode == 0, proc.stderr

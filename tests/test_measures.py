@@ -2,6 +2,7 @@ import copy
 import functools
 import pickle
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -108,6 +109,36 @@ class TestDistValidation:
             Dist(AC, 3, (0.5, 1))
         with pytest.raises(ValueError, match="outside"):
             Dist(AC, 300, (0, 1, 2, 301))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_levels_build_the_int_dist(self, n):
+        # bools, numpy integers and any other operator.index value are
+        # integers, and build the Dist their plain ints build
+        class Level:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        vocab = Vocabulary(tuple("abc"[:n]))
+        rng = random.Random(n)
+        for top in (1, 3, 120, 300):
+            ints = [top] + [rng.randint(0, top) for _ in range(1, 1 << n)]
+            want = Dist(vocab, top, ints)
+            same = [np.array(ints, dtype=np.int8), np.array(ints, dtype=np.uint8)] if top < 128 else []
+            if top == 1:
+                same.append([bool(lv) for lv in ints])
+            for levels in same:
+                d = Dist(vocab, top, levels)
+                assert d == want and hash(d) == hash(want), levels
+                assert d._ranked == want._ranked and d._planes == want._planes, levels
+            # no __eq__ or __hash__ of its own: only the derived fields match
+            d = Dist(vocab, top, [Level(lv) for lv in ints])
+            assert d._ranked == want._ranked and d._planes == want._planes, top
+        floats = np.array(ints, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'level {floats[0]!r} at world 0')} is not an integer$"):
+            Dist(vocab, top, floats)
 
     def test_all_distinct_levels_build_one_row_at_a_time(self):
         # 2**16 levels and 0 rank into 65,537 codes, 17 bit-planes of 8 KB
