@@ -27,6 +27,7 @@ from .parsing import (
     format_dist,
     format_formula,
     format_rule,
+    format_worlds,
     parse_dist,
     parse_formula,
     parse_kb,
@@ -58,8 +59,7 @@ def _print_ranking(doc: ParsedDocument, ranking: StratifiedRanking) -> None:
             print(_rule_line(ranking.rules[i], vocab))
     print()
     print(f"pi* (top = {ranking.pi_star.top}):")
-    for w, level in enumerate(ranking.pi_star.levels):
-        print(f"{vocab.format_world(w)}: {level}")
+    sys.stdout.write(format_worlds(ranking.pi_star))
     for d in doc.directives:
         ok = cond_weak_indep(ranking.pi_star, d.conclusion, d.context, d.extra)
         print(f"indep {format_directive(d, vocab)}: {'satisfied' if ok else 'NOT satisfied'}")

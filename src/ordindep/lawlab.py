@@ -243,14 +243,8 @@ def run_command(args) -> int:
 
 
 def _print_check(reports: list[LawReport], jsonl: Optional[str]) -> None:
-    failures = 0
-    for rep in reports:
-        mark = "ok  " if rep.holds else "FAIL"
-        print(f"{mark} {rep.law_id} ({rep.evaluations} evaluations)")
-        if not rep.holds:
-            failures += 1
-            print(format_counterexample(rep.counterexample))
-    print(f"{len(reports) - failures} of {len(reports)} laws hold")
+    # the records go first: a path that cannot be opened fails before the
+    # report prints a line, and after the sweep, so an overrun leaves no file
     if jsonl:
         import json  # only check --jsonl loads json
 
@@ -265,6 +259,14 @@ def _print_check(reports: list[LawReport], jsonl: Optional[str]) -> None:
                     "counterexample": _counterexample_record(rep.counterexample),
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+    failures = 0
+    for rep in reports:
+        mark = "ok  " if rep.holds else "FAIL"
+        print(f"{mark} {rep.law_id} ({rep.evaluations} evaluations)")
+        if not rep.holds:
+            failures += 1
+            print(format_counterexample(rep.counterexample))
+    print(f"{len(reports) - failures} of {len(reports)} laws hold")
 
 
 def _print_table(reports: dict[tuple[str, str], LawReport]) -> None:

@@ -19,16 +19,18 @@ which it reads off the evidence worlds at the highest level the evidence
 reaches, found by one descent of the ``Dist``'s bit-planes.
 
 A ``Dist`` is built either from one level per world or, by
-``dist_from_bands``, from disjoint bands of worlds that share a level.
-Bands OR straight into the bit-planes, so a band-built ``Dist`` answers
-every measure without a per-world pass; it writes its per-world
-``levels`` only when something first reads them.
+``dist_from_bands``, from disjoint bands of worlds that share a level;
+either way it keeps the same ranks and bit-planes and nothing else
+derived.  Bands OR straight into the planes, so a band-built ``Dist``
+answers every measure without a per-world pass; it reads its per-world
+``levels`` off the planes only when something first reads them.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+import struct
 
 from .logic import Formula, Not, Record, Vocabulary, full_mask, mask_worlds, model_mask
 
@@ -58,16 +60,19 @@ class Dist(Record):
     kept highest first with its bit ``1 << j``, is the mask of the worlds
     whose code has bit j set.  With L ranked levels there are
     ``(L - 1).bit_length()`` planes.  Ranks and planes are derived and take
-    no part in equality or hashing.
+    no part in equality or hashing.  From levels, the codes are packed once
+    as little-endian 4-byte ints, and plane j is read off byte j // 8 of
+    every code, one stride-4 slice of the pack.
 
     A level or top is an integer when ``operator.index`` takes it; any
     other value is rejected with the world it sits at.
 
     ``dist_from_bands`` builds the ranks and planes from level bands and
-    leaves ``levels`` out until its first read, which writes each band's
-    worlds into the tuple, stores it and returns it; every later read
-    returns that same tuple.  ``levels`` is still a field: equality,
-    hashing, ``repr``, pickling and copying read it, and so derive it.
+    leaves ``levels`` out until its first read, which ORs each plane's bit
+    into the codes of its worlds, maps the codes through ``_ranked``,
+    stores the tuple and returns it; every later read returns that same
+    tuple.  ``levels`` is still a field: equality, hashing, ``repr``,
+    pickling and copying read it, and so derive it.
     """
 
     vocab: Vocabulary
@@ -95,31 +100,31 @@ class Dist(Record):
             raise ValueError("distribution is not normalized: no world at the top level")
         ranked = tuple(used) if used[0] == 0 else (0, *used)
         width = (len(ranked) - 1).bit_length()
-        # streams[k] holds byte k of every world's code, world 0 last; wide
-        # codes are split by C-level maps, code >> 8k & 0xFF
+        # every code as a little-endian 4-byte int (a code is at most the
+        # world count), world 0 last: byte k of the codes is the stride-4
+        # slice from k
         rank = dict(zip(ranked, range(len(ranked))))
-        codes = list(map(rank.__getitem__, map(operator.index, reversed(levels))))
-        streams = [bytes(map((0xFF).__and__, map(shift.__rrshift__, codes))) for shift in range(0, width, 8)]
+        packed = struct.pack(f"<{count}I", *map(rank.__getitem__, map(operator.index, reversed(levels))))
         planes = []
         for j in reversed(range(width)):
             b = 1 << (j & 7)
             digits = (b"0" * b + b"1" * b) * (128 // b)  # byte c -> its bit j % 8 as a digit
-            planes.append((1 << j, int(streams[j >> 3].translate(digits), 2)))
+            planes.append((1 << j, int(packed[j >> 3 :: 4].translate(digits), 2)))
         object.__setattr__(self, "_ranked", ranked)
         object.__setattr__(self, "_planes", tuple(planes))
 
     def __getattr__(self, name):
         # reached only when the instance lacks the attribute: the levels of
         # a band-built Dist before their first read, or a true miss
-        bands = self.__dict__.get("_bands")
-        if name != "levels" or bands is None:
+        planes = self.__dict__.get("_planes")
+        if name != "levels" or planes is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        levels = [self.top] * self.vocab.world_count
-        for level, band in bands:
-            for w in mask_worlds(band):
-                levels[w] = level
+        codes = [0] * self.vocab.world_count
+        for bit, plane in planes:
+            for w in mask_worlds(plane):
+                codes[w] |= bit
         # stored whole: racing first reads may each build it, and all get the one stored
-        return self.__dict__.setdefault("levels", tuple(levels))
+        return self.__dict__.setdefault("levels", tuple(map(self._ranked.__getitem__, codes)))
 
     def _peak(self, mask: int) -> tuple[int, int]:
         """The highest code over a world bitmask, and the mask's worlds at it.
@@ -151,8 +156,9 @@ def dist_from_bands(vocab: Vocabulary, top: int, bands) -> Dist:
     ``bands`` holds ``(level, mask)`` pairs with every level in
     0..top - 1 and pairwise disjoint world masks; a level may repeat and a
     mask may be empty.  Some world must lie in no band.  Each plane is the
-    OR of the bands whose level's code has its bit, and ``levels`` waits
-    for its first read (see ``Dist``).
+    OR of the bands whose level's code has its bit; the bands are not
+    kept, and ``levels`` is read off the planes on its first read (see
+    ``Dist``).
     """
     if top < 1:
         raise ValueError(f"top level must be at least 1, got {top}")
@@ -177,7 +183,7 @@ def dist_from_bands(vocab: Vocabulary, top: int, bands) -> Dist:
                 plane |= mask
         planes.append((1 << j, plane))
     d = object.__new__(Dist)
-    d.__dict__.update(vocab=vocab, top=top, _ranked=ranked, _planes=tuple(planes), _bands=tuple(at.items()))
+    d.__dict__.update(vocab=vocab, top=top, _ranked=ranked, _planes=tuple(planes))
     return d
 
 

@@ -478,8 +478,10 @@ def parse_dist(text: str) -> Dist:
     return Dist(vocab, top, filled)
 
 
+def format_worlds(d: Dist) -> str:
+    """One ``key: level`` line per world, in world order."""
+    return "".join(f"{d.vocab.format_world(w)}: {level}\n" for w, level in enumerate(d.levels))
+
+
 def format_dist(d: Dist) -> str:
-    lines = [f"atoms: {' '.join(d.vocab.atoms)}", f"top: {d.top}"]
-    for w, level in enumerate(d.levels):
-        lines.append(f"{d.vocab.format_world(w)}: {level}")
-    return "\n".join(lines) + "\n"
+    return f"atoms: {' '.join(d.vocab.atoms)}\ntop: {d.top}\n" + format_worlds(d)

@@ -16,8 +16,9 @@ violates otherwise.  Each rule then holds with necessity equal to its
 stratum index plus one, which is reported as the rule's priority.  The
 distribution is built from one band of worlds per stratum, the
 difference of two consecutive rounds' unions, straight into the
-bit-planes that queries read; its per-world levels are written only
-when something reads them, such as ``rank``'s listing of every world.
+bit-planes that queries read; its per-world levels are read off those
+planes only when something reads them, such as ``rank``'s listing of
+every world.
 
 A ranking is asked many queries of its one distribution, and answers a
 repeated pair from its own memo: rows keyed by the hash int cached on
@@ -194,9 +195,10 @@ def compute_pi_star(kb: RuleBase) -> StratifiedRanking:
     highest stratum (counted from 0) holding a rule it violates.  So
     stratum s's band is the peel's round-s union of violations minus its
     round-s + 1 union, and ``dist_from_bands`` ORs the bands into the
-    bit-planes with no per-world pass; the per-world ``levels`` wait for a
-    first read.  One ``entails`` per rule checks that the result accepts
-    it; a failure there means the construction itself is broken.
+    bit-planes with no per-world pass; the per-world ``levels`` are read
+    off the planes on a first read.  One ``entails`` per rule checks that
+    the result accepts it; a failure there means the construction itself
+    is broken.
     """
     base = kb.deduped()
     strata, unions = _peel(base)

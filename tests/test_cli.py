@@ -197,10 +197,24 @@ class TestCheck:
             "weak-disjunction-iff",
         }
 
+    def test_unwritable_jsonl_fails_before_printing(self, capsys, tmp_path):
+        jsonl = tmp_path / "missing" / "laws.jsonl"
+        rc = main(["check", "--atoms", "1", "--top", "1", "--jsonl", str(jsonl)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(jsonl) in err
+
     def test_budget_exceeded(self, capsys):
         rc = main(["check", "--atoms", "2", "--top", "3", "--budget", "100"])
         assert rc == 2
         assert "exceeds budget" in capsys.readouterr().err
+
+    def test_budget_overrun_writes_no_jsonl(self, capsys, tmp_path):
+        jsonl = tmp_path / "laws.jsonl"
+        rc = main(["check", "--atoms", "2", "--top", "3", "--budget", "100", "--jsonl", str(jsonl)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "exceeds budget" in err
+        assert not jsonl.exists()
 
     def test_zero_budget(self, capsys):
         rc = main(["check", "--atoms", "1", "--top", "1", "--budget", "0"])

@@ -277,10 +277,11 @@ class TestBandBuiltDist:
         monkeypatch.setattr(measures, "mask_worlds", lambda mask: calls.append(mask) or mask_worlds(mask))
         d = _banded_worked()
         first = d.levels
-        assert first == (1, 1, 2, 3) and calls == [0b0011, 0b0100]
+        # read off the planes: code bit 0b10 at !a c and a c, 0b01 at !a !c, a !c and a c
+        assert first == (1, 1, 2, 3) and calls == [0b1100, 0b1011]
         assert d.levels is first and vars(d)["levels"] is first
         assert d == WORKED and hash(d) == hash(WORKED) and d.is_total_order() is False
-        assert calls == [0b0011, 0b0100]
+        assert calls == [0b1100, 0b1011]
 
     def test_racing_first_reads_see_one_tuple(self):
         kb = parse_kb(_chain_base(12)).base()
@@ -359,7 +360,9 @@ def _oracle_verdict(levels, e_truth, c_truth) -> TriState:
 class TestPlanesDifferential:
     """poss_mask and entails against the levels, where a level code crosses
     a byte: 1, 2, 255, 256 and 257 distinct levels in use over 9 atoms,
-    dense from 0 or 1 or spread below tops of 250, 300, 70,000 and 2**70."""
+    dense from 0 or 1 or spread below tops of 250, 300, 70,000 and 2**70.
+    The same levels built from bands give the same ranks and planes, and
+    their first read of ``levels`` gives the vector back."""
 
     N = 9
 
@@ -385,8 +388,17 @@ class TestPlanesDifferential:
             while len(values) < distinct:
                 values.add(rng.randrange(1, top))
         levels = _levels_using(sorted(values), n, rng)
-        d = Dist(Vocabulary(tuple(f"x{i}" for i in range(n))), top, levels)
+        vocab = Vocabulary(tuple(f"x{i}" for i in range(n)))
+        d = Dist(vocab, top, levels)
         assert len(d._planes) == (len(values | {0}) - 1).bit_length()
+        bands = {}
+        for w, level in enumerate(levels):
+            if level != top:
+                bands[level] = bands.get(level, 0) | 1 << w
+        banded = dist_from_bands(vocab, top, bands.items())
+        assert "levels" not in vars(banded)
+        assert (banded._ranked, banded._planes) == (d._ranked, d._planes)
+        assert banded.levels == levels and banded == d
 
         assert d.poss_mask(0) == 0
         assert d.poss_mask(full_mask(n)) == top
