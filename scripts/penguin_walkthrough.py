@@ -19,6 +19,7 @@ from ordindep import (
     parse_formula,
     parse_kb,
 )
+from ordindep.parsing import world_keys
 from ordindep.ranking import RuleOrigin
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -34,8 +35,8 @@ def show_ranking(ranking: StratifiedRanking) -> None:
     print(f"  top = {len(ranking.strata)}")
     print(f"  worlds at each level:")
     by_level: dict[int, list[str]] = {}
-    for w, level in enumerate(ranking.pi_star.levels):
-        by_level.setdefault(level, []).append(ranking.vocab.format_world(w))
+    for key, level in zip(world_keys(ranking.vocab), ranking.pi_star.levels):
+        by_level.setdefault(level, []).append(key)
     for level in sorted(by_level, reverse=True):
         print(f"    {level}: {', '.join(by_level[level])}")
 

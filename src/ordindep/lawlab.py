@@ -55,7 +55,7 @@ from .logic import FALSE, TRUE, And, Formula, Not, Or, Record, Vocabulary, full_
 from . import independence as indep
 from . import measures
 from .measures import Dist
-from .parsing import format_formula
+from .parsing import format_formula, world_keys
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -216,7 +216,7 @@ def format_counterexample(ce: Counterexample, indent: int = 4) -> str:
     pad = " " * indent
     vocab = ce.dist.vocab
     shown = ", ".join(format_formula(f, vocab) for f in ce.formulas) if ce.formulas else "(none)"
-    cells = "; ".join(f"{vocab.format_world(w)}={lv}" for w, lv in enumerate(ce.dist.levels))
+    cells = "; ".join(f"{key}={lv}" for key, lv in zip(world_keys(vocab), ce.dist.levels))
     return f"{pad}formulas: {shown}\n{pad}dist (top {ce.dist.top}): {cells}"
 
 

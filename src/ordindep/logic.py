@@ -13,9 +13,10 @@ a complement is ``full_mask(n) ^ mask``, never the negative ``~mask``.
 atom's mask is computed once per n; ``Atom(i)`` still builds a new node,
 equal to the shared one.
 
-This module holds no formula text: ``parsing`` reads and writes it, with
-one operator table for both.  Only the atom-name pattern ``ATOM_NAME``
-and the ``RESERVED_WORDS`` live here, where ``Vocabulary`` checks names.
+This module holds no text: ``parsing`` reads and writes formulas, with
+one operator table for both, and world keys such as ``a !c``.  Only the
+atom-name pattern ``ATOM_NAME`` and the ``RESERVED_WORDS`` live here,
+where ``Vocabulary`` checks names.
 """
 
 from __future__ import annotations
@@ -180,15 +181,6 @@ class Vocabulary(Record):
         if not (0 <= i < len(self.atoms)):
             raise IndexError(f"atom index {i} out of range for {len(self.atoms)} atoms")
         return ATOMS[i]
-
-    def format_world(self, world: int) -> str:
-        """Literal form of one world, e.g. 'p !b f'."""
-        if not (0 <= world < self.world_count):
-            raise ValueError(f"world {world} out of range")
-        parts = []
-        for i, name in enumerate(self.atoms):
-            parts.append(name if (world >> i) & 1 else "!" + name)
-        return " ".join(parts)
 
 
 class Formula:

@@ -1,9 +1,10 @@
 """Text formats: formulas, rule bases, and distribution files.
 
-This module reads and writes all of the package's formula text.  The
-printer, ``format_formula``, takes its operators' precedences from the
-parser's table, and the tokenizer reads names with ``logic.ATOM_NAME``,
-the pattern ``Vocabulary`` checks atom names against.
+This module reads and writes all of the package's text: formulas and
+the world keys of distribution files.  The formula printer,
+``format_formula``, takes its operators' precedences from the parser's
+table, and the tokenizer reads names with ``logic.ATOM_NAME``, the
+pattern ``Vocabulary`` checks atom names against.
 
 Formula grammar, loosest to tightest: `<->`, `->` (right associative),
 `|`, `&`, `!`, parentheses.  `true` and `false` are constants, in any
@@ -17,7 +18,9 @@ in any order; `#` starts a comment.  A distribution file holds `atoms:`,
 as a binary number (bit i of the value is atom i, so the leftmost digit
 is the last atom) or a pattern of literals naming every atom once, like
 `a !c`.  `top` and the levels are ASCII decimals, ``-?[0-9]+``.
-Unlisted worlds sit at level 0.
+Unlisted worlds sit at level 0.  ``parse_dist`` reads a literal key
+through one table built from the file's atoms line, and ``world_keys``
+writes every world's literal key; no other code reads or writes a key.
 
 A formula is read in one pass: one ``findall`` splits it into token
 texts, and precedence climbing builds the tree from them.  Columns are
@@ -47,6 +50,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Iterator
+from itertools import product
 
 from .logic import (
     ATOM_NAME, ATOMS, FALSE, RESERVED_WORDS, TRUE, Atom, Formula, Not, And, Or, Record, Vocabulary, iff, implies,
@@ -400,31 +404,27 @@ def format_directive(d: IndepDirective, vocab: Vocabulary) -> str:
 # -- distribution files ---------------------------------------------------
 
 
-def _world_from_key(key: str, vocab: Vocabulary, line: int) -> int:
+def _world_from_key(key: str, literals: dict[str, tuple[int, int]], n: int, line: int) -> int:
+    """The world a key names: a bitstring of n digits, or one literal per
+    atom, each read from literals, the table ``parse_dist`` builds from the
+    atoms line, as (its bit in the world, its atom's bit)."""
     key = key.strip()
     if re.fullmatch(r"[01]+", key):
-        if len(key) != vocab.n:
-            raise ParseError(
-                f"bitstring {key!r} has {len(key)} digits, expected {vocab.n}", line, 1
-            )
+        if len(key) != n:
+            raise ParseError(f"bitstring {key!r} has {len(key)} digits, expected {n}", line, 1)
         return int(key, 2)
-    world = 0
-    seen = set()
+    world = seen = 0
     for tok in key.split():
-        name = tok[1:] if tok.startswith("!") else tok
         try:
-            i = vocab.index(name)
+            bit, atom = literals[tok]
         except KeyError:
-            raise ParseError(f"unknown atom: {name}", line, 1) from None
-        if i in seen:
-            raise ParseError(f"atom {name!r} appears twice in world pattern", line, 1)
-        seen.add(i)
-        if not tok.startswith("!"):
-            world |= 1 << i
-    if len(seen) != vocab.n:
-        raise ParseError(
-            f"world pattern {key!r} must mention every atom exactly once", line, 1
-        )
+            raise ParseError(f"unknown atom: {tok.removeprefix('!')}", line, 1) from None
+        if seen & atom:
+            raise ParseError(f"atom {tok.removeprefix('!')!r} appears twice in world pattern", line, 1)
+        seen |= atom
+        world |= bit
+    if seen != (1 << n) - 1:
+        raise ParseError(f"world pattern {key!r} must mention every atom exactly once", line, 1)
     return world
 
 
@@ -449,6 +449,10 @@ def parse_dist(text: str) -> Dist:
     for line, head, rest, rest_offset in _directives(text):
         if head == "atoms":
             vocab = _parse_atoms(rest, vocab, line, rest_offset)
+            literals = {}
+            for i, name in enumerate(vocab.atoms):
+                literals[name] = (1 << i, 1 << i)
+                literals["!" + name] = (0, 1 << i)
         elif head == "top":
             if top is not None:
                 raise ParseError("duplicate top line", line, 1)
@@ -461,7 +465,7 @@ def parse_dist(text: str) -> Dist:
                 raise ParseError("world line appears before the atoms line", line, 1)
             if top is None:
                 raise ParseError("world line appears before the top line", line, 1)
-            world = _world_from_key(head, vocab, line)
+            world = _world_from_key(head, literals, vocab.n, line)
             if world in levels:
                 raise ParseError(f"duplicate world {head!r}", line, 1)
             level = _integer(rest, "level", line, rest_offset + 1)
@@ -478,9 +482,17 @@ def parse_dist(text: str) -> Dist:
     return Dist(vocab, top, filled)
 
 
+def world_keys(vocab: Vocabulary) -> Iterator[str]:
+    """Every world's literal key, like ``a !c``, in world order.  The
+    product runs over the atoms last first, so atom 0 varies fastest, as
+    bit 0 of the world does."""
+    pairs = [("!" + name, name) for name in reversed(vocab.atoms)]
+    return (" ".join(combo[::-1]) for combo in product(*pairs))
+
+
 def format_worlds(d: Dist) -> str:
     """One ``key: level`` line per world, in world order."""
-    return "".join(f"{d.vocab.format_world(w)}: {level}\n" for w, level in enumerate(d.levels))
+    return "".join(f"{key}: {level}\n" for key, level in zip(world_keys(d.vocab), d.levels))
 
 
 def format_dist(d: Dist) -> str:

@@ -75,6 +75,20 @@ class TestFrozenWitnesses:
         assert strong_indep(d, A, C)
         assert not strong_indep(d, C, A)
 
+    # one distribution witnesses that both inclusions of strong => weak =>
+    # Zadeh-unrelated are strict; levels over !a!b, a!b, !ab, ab
+    STRICT = Dist(Vocabulary(("a", "b")), 3, (0, 0, 1, 3))
+
+    def test_weak_without_strong_at_one_distribution(self):
+        a, b = Atom(0), Atom(1)
+        assert weak_indep(self.STRICT, a, And(a, b))
+        assert not strong_indep(self.STRICT, a, And(a, b))
+
+    def test_unrelated_without_weak_at_one_distribution(self):
+        not_a, b = Not(Atom(0)), Atom(1)
+        assert not related_z(self.STRICT, not_a, And(not_a, b))
+        assert not weak_indep(self.STRICT, not_a, And(not_a, b))
+
     def test_contraction_dependence_witness(self):
         # c leaves when contracting by a: accepted, but not given !a
         d = Dist(AC, 3, (0, 0, 0, 3))

@@ -102,12 +102,6 @@ class TestVocabulary:
         with pytest.raises(IndexError):
             AB.atom(2)
 
-    def test_format_world(self):
-        assert AB.format_world(0) == "!a !b"
-        assert AB.format_world(1) == "a !b"
-        assert AB.format_world(2) == "!a b"
-        assert AB.format_world(3) == "a b"
-
 
 class TestMasks:
     # bit w of a mask is world w; worlds over (a, b) are 0=!a!b .. 3=ab

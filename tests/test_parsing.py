@@ -30,7 +30,9 @@ from ordindep import (
 )
 from ordindep.logic import ATOMS, model_mask
 from ordindep import logic, parsing
-from ordindep.parsing import MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, MEMO_NODES, _TOKEN_RE, _climb, _located, _parse
+from ordindep.parsing import (
+    MAX_FORMULA_DEPTH, MAX_FORMULA_SIZE, MEMO_NODES, _TOKEN_RE, _climb, _located, _parse, world_keys,
+)
 from ordindep.ranking import Rule, RuleOrigin
 
 import parse_oracle
@@ -696,6 +698,14 @@ class TestKbParsing:
         assert "unknown atom" in str(ei.value)
 
 
+key_vocabs = st.integers(1, 6).map(lambda n: Vocabulary(("a", "b", "c", "d", "e", "f")[:n]))
+
+
+def _world_levels(vocab: Vocabulary, key: str) -> tuple[int, ...]:
+    """The levels of a .dist file over vocab that lists only key, at 1."""
+    return parse_dist(f"atoms: {' '.join(vocab.atoms)}\ntop: 1\n{key}: 1\n").levels
+
+
 class TestDistParsing:
     def test_sample_corpus(self, data_dir):
         d = parse_dist((data_dir / "sample.dist").read_text())
@@ -744,6 +754,48 @@ class TestDistParsing:
         with pytest.raises(ParseError) as ei:
             parse_dist(text)
         assert fragment in str(ei.value)
+
+    # when a key has more than one fault, the first literal at fault wins
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("!zz b", "unknown atom: zz"),
+            ("! a b", "unknown atom: "),
+            ("!!a b", "unknown atom: !a"),
+            ("a !a", "atom 'a' appears twice in world pattern"),
+            ("a a zz", "atom 'a' appears twice in world pattern"),
+            ("b", "world pattern 'b' must mention every atom exactly once"),
+            ("1", "bitstring '1' has 1 digits, expected 2"),
+        ],
+    )
+    def test_world_key_errors(self, key, message):
+        with pytest.raises(ParseError) as ei:
+            parse_dist(f"atoms: a b\ntop: 1\n{key}: 1\n")
+        assert str(ei.value) == f"line 3, column 1: {message}"
+
+    @given(st.data())
+    def test_shuffled_spaced_literals_read_back_as_their_world(self, data):
+        vocab = data.draw(key_vocabs)
+        world = data.draw(st.integers(0, vocab.world_count - 1))
+        literals = [name if world >> i & 1 else "!" + name for i, name in enumerate(vocab.atoms)]
+        literals = data.draw(st.permutations(literals))
+        gaps = st.sampled_from((" ", "  ", "\t", " \t "))
+        spacing = data.draw(st.lists(gaps, min_size=vocab.n - 1, max_size=vocab.n - 1))
+        ends = data.draw(st.tuples(st.sampled_from(("", " ", "\t")), st.sampled_from(("", " ", "\t"))))
+        key = ends[0] + literals[0] + "".join(gap + lit for gap, lit in zip(spacing, literals[1:])) + ends[1]
+        assert _world_levels(vocab, key) == tuple(int(w == world) for w in range(vocab.world_count))
+
+    @given(st.data())
+    def test_world_keys_read_back_as_their_world(self, data):
+        vocab = data.draw(key_vocabs)
+        world = data.draw(st.integers(0, vocab.world_count - 1))
+        key = list(world_keys(vocab))[world]
+        assert _world_levels(vocab, key) == tuple(int(w == world) for w in range(vocab.world_count))
+
+    def test_world_keys(self):
+        # atom 0 varies fastest, as bit 0 of the world does
+        assert list(world_keys(AB)) == ["!a !b", "a !b", "!a b", "a b"]
+        assert list(world_keys(Vocabulary(("a",)))) == ["!a", "a"]
 
     def test_top_violation_reports_top_line(self):
         with pytest.raises(ParseError) as ei:

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, target
 from hypothesis import strategies as st
 
 from ordindep import (
+    FALSE,
     TRUE,
     And,
     Atom,
@@ -27,6 +28,7 @@ from ordindep import (
     nec,
     parse_formula,
     parse_kb,
+    poss,
     stratify,
 )
 from ordindep import ranking as ranking_module
@@ -701,6 +703,41 @@ class TestInjection:
         out = inject_independence(base, Atom(0), Atom(1), Atom(2))
         assert out.rules[:1] == base.rules and len(out.rules) == 2
         assert hash(base) == hash(RuleBase(v, tuple(base.rules)))
+
+    def test_every_literal_directive_on_every_two_atom_rule(self):
+        # a directive `C wrt E given X` on a base whose pi* accepts X |~ C:
+        # either the injected base keeps X |~ C and makes C weakly
+        # independent of E given X, or it is inconsistent, and then X & E
+        # was impossible, so the old pi* ignored X & E |~ !C.  The scope is
+        # every one-rule base over the 16 events of two atoms, and every
+        # directive whose three parts are false, true or a literal.
+        vocab = Vocabulary(("a", "b"))
+        events = [event_formula(mask, 2) for mask in range(16)]
+        a, b = Atom(0), Atom(1)
+        parts = (FALSE, TRUE, a, Not(a), b, Not(b))
+        inconsistent = cases = accepted = kept = conflicting = 0
+        for x, y in itertools.product(range(16), repeat=2):
+            kb = RuleBase(vocab, (Rule(events[x], events[y]),))
+            ranking = _ranking_or_none(kb)
+            if ranking is None:
+                inconsistent += 1
+                continue
+            for conclusion, extra, context in itertools.product(parts, repeat=3):
+                cases += 1
+                if ranking.query(context, conclusion) is not TriState.ACCEPTED:
+                    continue
+                accepted += 1
+                injected = _ranking_or_none(inject_independence(kb, context, extra, conclusion))
+                if injected is None:
+                    conflicting += 1
+                    assert poss(ranking.pi_star, And(context, extra)) == 0
+                    assert ranking.query(And(context, extra), Not(conclusion)) is TriState.IGNORED
+                else:
+                    kept += 1
+                    assert injected.query(context, conclusion) is TriState.ACCEPTED
+                    assert cond_weak_indep(injected.pi_star, conclusion, context, extra)
+        assert (inconsistent, cases, accepted) == (81, 37_800, 10_722)
+        assert (kept, conflicting) == (7_083, 3_639)
 
 
 class TestRationalMonotony:
